@@ -212,8 +212,14 @@ def _cmd_sample(cfg: SampleConfig) -> int:
     return 0
 
 
-def _space_for(dim: int):
-    return unit_interval(1.0) if dim == 1 else unit_cube(1.0, dim)
+def _space_for(configs):
+    """The unit space of the configurations' dimension; every point must lie in it."""
+    dim = max(cfg.dimension for cfg in configs)
+    space = unit_interval(1.0) if dim == 1 else unit_cube(1.0, dim)
+    for cfg in configs:
+        if not all(space.contains(x) for x in cfg.locations):
+            raise UsageError(f"distance input has a point outside {space.label}")
+    return space
 
 
 def _cmd_distance(cfg: DistanceConfig) -> int:
@@ -222,8 +228,7 @@ def _cmd_distance(cfg: DistanceConfig) -> int:
         right = io.read_configurations(cfg.right)
         if len(left) != 1 or len(right) != 1:
             raise UsageError("distance d1 expects exactly one configuration per file")
-        dim = max(left[0].dimension, right[0].dimension)
-        value = d1_bar(left[0], right[0], _space_for(dim))
+        value = d1_bar(left[0], right[0], _space_for([left[0], right[0]]))
         print(repr(value))
         if cfg.out is not None:
             _emit_json({"d1": value}, cfg.out)
@@ -232,7 +237,7 @@ def _cmd_distance(cfg: DistanceConfig) -> int:
     qs = io.read_configurations(cfg.right)
     if not ps or len(ps) != len(qs):
         raise UsageError("distance d2 expects equal-size non-empty samples")
-    est = d2_bar_empirical(ps, qs, _space_for(ps[0].dimension), workers=cfg.workers)
+    est = d2_bar_empirical(ps, qs, _space_for(ps + qs), workers=cfg.workers)
     obj = {"estimate": est.estimate, "n": est.n_samples, "seed": est.seed, "note": est.note}
     _emit_json(obj, None)
     if cfg.out is not None:

@@ -11,12 +11,14 @@ conditional immigration-death chain, coalescence (identical identity sets)
 is absorbing, and chains ordered by inclusion stay ordered, which gives the
 pathwise domination used by the tests.
 
-Estimators integrate contrasts of a test function along the coupled run:
+Every estimator runs its replicas through one loop, one coupled run per
+derived stream, and integrates a contrast of a test function along each run:
   delta_h      -mean int f(Z_{xi+a}) - f(Z_xi) dt            (2 chains)
   delta2_h     -mean int f(Z_{xi+a+b}) - f(Z_{xi+a}) - ...   (4 chains)
   h            -mean int f(Z_xi) - f(Z_W) dt, W stationary   (2 chains)
-Runs stop at coalescence, where the contrast vanishes identically; replicas
-hitting the event cap are flagged and inflated conservatively.
+Runs stop at coalescence, where the contrast vanishes identically.  Every
+estimator honours max_events: replicas hitting the event cap are flagged and
+inflated conservatively, and an estimate is refused when every replica hits it.
 """
 
 from __future__ import annotations
@@ -365,12 +367,10 @@ def run_coupled_chains(
     )
 
 
-def _pair_initials(
-    xi: Configuration, alpha_location, tag_offset: int = 0
-) -> tuple[Configuration, Configuration]:
-    base = Configuration(tuple(range(tag_offset, tag_offset + xi.size)), xi.locations)
-    extra = base.with_point(tag_offset + xi.size, np.asarray(alpha_location, dtype=float))
-    return extra, base
+def _pair_initials(xi: Configuration, alpha_location) -> list[Configuration]:
+    """[xi + alpha, xi], tagged so that xi's points are matched in both."""
+    base = Configuration(tuple(range(xi.size)), xi.locations)
+    return [base.with_point(xi.size, alpha_location), base]
 
 
 def simulate_coupled_pair(
@@ -383,9 +383,8 @@ def simulate_coupled_pair(
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> CoupledRun:
     """Recorded coupled run of Z_{xi+alpha} against Z_xi (both floored at m)."""
-    upper, base = _pair_initials(xi, alpha_location)
     return run_coupled_chains(
-        [upper, base],
+        _pair_initials(xi, alpha_location),
         [m, m],
         space,
         stream,
@@ -423,63 +422,68 @@ def simulate_domination_triple(
     )
 
 
-def _inflate_capped(
-    integrals: np.ndarray, capped: np.ndarray, taus: list[float], span: float
-) -> np.ndarray:
-    """Push capped replicas outward by span times the mean completed tau.
-
-    The contrast is bounded by span, so the unobserved tail of a capped run
-    is at most span times the residual coalescence time; inflating away from
-    zero makes downstream domination checks conservative.
-    """
-    if not capped.any():
-        return integrals
-    mean_tau = float(np.mean(taus)) if taus else 0.0
-    out = integrals.copy()
-    bump = span * mean_tau
-    sign = np.where(out[capped] >= 0.0, 1.0, -1.0)
-    out[capped] = out[capped] + sign * bump
-    return out
-
-
-def _contrast_estimate(
-    initials: list[Configuration],
+def _run_replicas(
+    initial,
     floors: list[int],
-    coefficients: tuple[float, ...],
-    f: TestFunction,
+    coefficients: tuple[float, ...] | None,
+    f: TestFunction | None,
     space: GroundSpace,
     replicas: int,
     seed: int,
-    span: float,
-    stream_offset: int = 0,
-    max_events: int = DEFAULT_EVENT_CAP,
-) -> MCEstimate:
-    """-mean of the coupled contrast integral over derived streams."""
+    *,
+    stream_offset: int,
+    max_events: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One coupled run per derived stream; the replica loop of every estimator.
+
+    initial is either the list of starting configurations shared by every
+    replica, or a callable that draws a replica's configurations from its
+    stream before the run consumes that stream.  Returns per-replica arrays of
+    the contrast integral, the capped flag and the coalescence time (NaN for
+    capped replicas, which never coalesce).
+    """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     integrals = np.empty(replicas)
     capped = np.zeros(replicas, dtype=bool)
-    taus: list[float] = []
+    taus = np.full(replicas, np.nan)
     for r in range(replicas):
+        stream = derive_stream(seed, stream_offset + r)
+        chains = initial(stream) if callable(initial) else initial
         run = run_coupled_chains(
-            initials,
-            floors,
-            space,
-            derive_stream(seed, stream_offset + r),
-            coefficients=coefficients,
-            test_function=f,
-            max_events=max_events,
+            chains, floors, space, stream,
+            coefficients=coefficients, test_function=f, max_events=max_events,
         )
         integrals[r] = run.integral
         capped[r] = run.capped
         if run.coalescence_time is not None:
-            taus.append(run.coalescence_time)
-    integrals = _inflate_capped(integrals, capped, taus, span)
+            taus[r] = run.coalescence_time
+    return integrals, capped, taus
+
+
+def _contrast_estimate(
+    runs: tuple[np.ndarray, np.ndarray, np.ndarray], span: float, seed: int
+) -> MCEstimate:
+    """-mean of the coupled contrast integrals, capped replicas inflated.
+
+    The contrast is bounded by span, so the unobserved tail of a capped run
+    is at most span times the residual coalescence time; capped replicas are
+    pushed away from zero by span times the mean completed coalescence time,
+    which keeps downstream domination checks conservative.  With no completed
+    replica there is nothing to inflate by, so the estimate is refused.
+    """
+    integrals, capped, taus = runs
+    if capped.all():
+        raise RuntimeError("every replica hit the event cap")
+    if capped.any():
+        bump = span * float(np.mean(taus[~capped]))
+        integrals = integrals.copy()
+        integrals[capped] += np.where(integrals[capped] >= 0.0, bump, -bump)
     values = -integrals
     return MCEstimate(
         estimate=float(values.mean()),
-        se=float(values.std(ddof=1) / math.sqrt(replicas)),
-        replicas=replicas,
+        se=float(values.std(ddof=1) / math.sqrt(values.size)),
+        replicas=values.size,
         seed=seed,
         capped=int(capped.sum()),
     )
@@ -498,11 +502,11 @@ def estimate_delta_h(
     """Monte Carlo h(xi + delta_alpha) - h(xi) via the coupled pair."""
     if xi.size < m:
         raise ValueError("xi must sit at or above the floor m")
-    upper, base = _pair_initials(xi, alpha_location)
-    return _contrast_estimate(
-        [upper, base], [m, m], (1.0, -1.0), f, space, replicas, seed,
-        span=1.0, max_events=max_events,
+    runs = _run_replicas(
+        _pair_initials(xi, alpha_location), [m, m], (1.0, -1.0), f, space,
+        replicas, seed, stream_offset=0, max_events=max_events,
     )
+    return _contrast_estimate(runs, span=1.0, seed=seed)
 
 
 def estimate_delta2_h(
@@ -519,23 +523,14 @@ def estimate_delta2_h(
     """Monte Carlo second difference of h via four coupled chains."""
     if xi.size < m:
         raise ValueError("xi must sit at or above the floor m")
-    n = xi.size
-    base = Configuration(tuple(range(n)), xi.locations)
-    alpha = np.asarray(alpha_location, dtype=float)
-    beta = np.asarray(beta_location, dtype=float)
-    with_a = base.with_point(n, alpha)
-    with_b = base.with_point(n + 1, beta)
-    with_ab = with_a.with_point(n + 1, beta)
-    return _contrast_estimate(
-        [with_ab, with_a, with_b, base],
-        [m, m, m, m],
-        (1.0, -1.0, -1.0, 1.0),
-        f,
-        space,
-        replicas,
-        seed,
-        span=2.0,
+    with_a, base = _pair_initials(xi, alpha_location)
+    with_b = base.with_point(xi.size + 1, beta_location)
+    with_ab = with_a.with_point(xi.size + 1, beta_location)
+    runs = _run_replicas(
+        [with_ab, with_a, with_b, base], [m, m, m, m], (1.0, -1.0, -1.0, 1.0), f,
+        space, replicas, seed, stream_offset=0, max_events=max_events,
     )
+    return _contrast_estimate(runs, span=2.0, seed=seed)
 
 
 def estimate_h(
@@ -555,40 +550,18 @@ def estimate_h(
     """
     if xi.size < m:
         raise ValueError("xi must sit at or above the floor m")
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
     base = Configuration(tuple(range(xi.size)), xi.locations)
-    integrals = np.empty(replicas)
-    capped = np.zeros(replicas, dtype=bool)
-    taus: list[float] = []
-    for r in range(replicas):
-        stream = derive_stream(seed, r)
+
+    def with_partner(stream: RandomStream) -> list[Configuration]:
         partner = sample_conditional_poisson(space, m, stream)
-        partner = Configuration(
-            tuple(range(xi.size, xi.size + partner.size)), partner.locations
-        )
-        run = run_coupled_chains(
-            [base, partner],
-            [m, m],
-            space,
-            stream,
-            coefficients=(1.0, -1.0),
-            test_function=f,
-            max_events=max_events,
-        )
-        integrals[r] = run.integral
-        capped[r] = run.capped
-        if run.coalescence_time is not None:
-            taus.append(run.coalescence_time)
-    integrals = _inflate_capped(integrals, capped, taus, span=1.0)
-    values = -integrals
-    return MCEstimate(
-        estimate=float(values.mean()),
-        se=float(values.std(ddof=1) / math.sqrt(replicas)),
-        replicas=replicas,
-        seed=seed,
-        capped=int(capped.sum()),
+        tags = tuple(range(xi.size, xi.size + partner.size))
+        return [base, Configuration(tags, partner.locations)]
+
+    runs = _run_replicas(
+        with_partner, [m, m], (1.0, -1.0), f, space, replicas, seed,
+        stream_offset=0, max_events=max_events,
     )
+    return _contrast_estimate(runs, span=1.0, seed=seed)
 
 
 def estimate_coalescence_time(
@@ -605,27 +578,19 @@ def estimate_coalescence_time(
     Replicas that hit the event cap are excluded from the mean and counted
     in the capped field instead of being inflated.
     """
-    upper, base = _pair_initials(xi, alpha_location)
-    times = []
-    n_capped = 0
-    for r in range(replicas):
-        run = run_coupled_chains(
-            [upper, base], [m, m], space, derive_stream(seed, r),
-            max_events=max_events,
-        )
-        if run.coalescence_time is None:
-            n_capped += 1
-        else:
-            times.append(run.coalescence_time)
-    arr = np.asarray(times)
-    if arr.size < 2:
+    _, capped, taus = _run_replicas(
+        _pair_initials(xi, alpha_location), [m, m], None, None, space,
+        replicas, seed, stream_offset=0, max_events=max_events,
+    )
+    times = taus[~capped]
+    if times.size < 2:
         raise RuntimeError("too few completed replicas for a mean")
     return MCEstimate(
-        estimate=float(arr.mean()),
-        se=float(arr.std(ddof=1) / math.sqrt(arr.size)),
+        estimate=float(times.mean()),
+        se=float(times.std(ddof=1) / math.sqrt(times.size)),
         replicas=replicas,
         seed=seed,
-        capped=n_capped,
+        capped=int(capped.sum()),
     )
 
 
@@ -676,50 +641,37 @@ def stein_residual(
     base = Configuration(tuple(range(xi.size)), xi.locations)
 
     # Component 0: immigration average, alpha resampled each replica.
-    integrals = np.empty(replicas)
-    capped_total = 0
-    for r in range(replicas):
-        stream = derive_stream(seed, r)
-        alpha = space.sample_one(stream)
-        upper, low = _pair_initials(xi, alpha)
-        run = run_coupled_chains(
-            [upper, low], [m, m], space, stream,
-            coefficients=(1.0, -1.0), test_function=f, max_events=max_events,
-        )
-        integrals[r] = -run.integral
-        capped_total += int(run.capped)
-    imm_mean = float(integrals.mean())
-    imm_se = float(integrals.std(ddof=1) / math.sqrt(replicas))
-
+    imm = _contrast_estimate(
+        _run_replicas(
+            lambda stream: _pair_initials(xi, space.sample_one(stream)),
+            [m, m], (1.0, -1.0), f, space, replicas, seed,
+            stream_offset=0, max_events=max_events,
+        ),
+        span=1.0, seed=seed,
+    )
     # Components 1..n: one death term per point of xi, active above the floor.
-    death_mean = 0.0
-    death_var = 0.0
-    if xi.size > m:
-        for i in range(xi.size):
-            reduced = base.without_tag(i)
-            est = _contrast_estimate(
-                [base, reduced],
-                [m, m],
-                (1.0, -1.0),
-                f,
-                space,
-                replicas,
-                seed,
-                span=1.0,
-                stream_offset=(i + 1) * replicas,
+    deaths = [
+        _contrast_estimate(
+            _run_replicas(
+                [base, base.without_tag(i)], [m, m], (1.0, -1.0), f, space,
+                replicas, seed, stream_offset=(i + 1) * replicas,
                 max_events=max_events,
-            )
-            capped_total += est.capped
-            death_mean += est.estimate
-            death_var += est.se**2
+            ),
+            span=1.0, seed=seed,
+        )
+        for i in range(xi.size)
+    ] if xi.size > m else []
+    death_mean = sum(est.estimate for est in deaths)
+    death_var = sum(est.se**2 for est in deaths)
 
     pi_est = estimate_pi_f(
         f, m, space, replicas, seed, stream_offset=(xi.size + 1) * replicas
     )
-    residual = lam * imm_mean - death_mean - (f(base) - pi_est.estimate)
-    se = math.sqrt((lam * imm_se) ** 2 + death_var + pi_est.se**2)
+    residual = lam * imm.estimate - death_mean - (f(base) - pi_est.estimate)
+    se = math.sqrt((lam * imm.se) ** 2 + death_var + pi_est.se**2)
+    capped = imm.capped + sum(est.capped for est in deaths)
     return MCEstimate(
-        estimate=residual, se=se, replicas=replicas, seed=seed, capped=capped_total
+        estimate=residual, se=se, replicas=replicas, seed=seed, capped=capped
     )
 
 

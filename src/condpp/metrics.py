@@ -17,10 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .groundspace import Configuration, GroundSpace
-from .transport import PAD_COST, solve_balanced_transport
+from .transport import _padded_assignment, solve_balanced_transport
 
 __all__ = ["d1_bar", "d1_bar_bruteforce", "d2_bar_empirical", "D2Estimate"]
 
@@ -44,13 +43,8 @@ def _d1_locs(small: np.ndarray, large: np.ndarray, space: GroundSpace) -> float:
         w = float(space.pairwise(small, large).min())
         return (w + (n - 1)) / n
     costs = space.pairwise(small, large)
-    if m == n:
-        padded = costs
-    else:
-        padded = np.full((n, n), PAD_COST)
-        padded[:m, :] = costs
-    rows, cols = linear_sum_assignment(padded)
-    w = float(costs[rows[:m], cols[:m]].sum())
+    rows, cols = _padded_assignment(costs)
+    w = float(costs[rows, cols].sum())
     return (w + (n - m)) / n
 
 

@@ -56,22 +56,33 @@ def check_cost_matrix(costs) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
+def _padded_assignment(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal (rows, cols) of an (r, c) cost matrix, pad pairs dropped.
+
+    A rectangular matrix is padded to square with PAD_COST before the solve.
+    Returned pairs are ordered by row, as the square solver returns them.
+    """
+    r, c = costs.shape
+    if r == c:
+        return linear_sum_assignment(costs)
+    n = max(r, c)
+    padded = np.full((n, n), PAD_COST)
+    padded[:r, :c] = costs
+    rows, cols = linear_sum_assignment(padded)
+    if r < c:
+        # Rows come back sorted and every column is real: keep the first r.
+        return rows[:r], cols[:r]
+    real = cols < c
+    return rows[real], cols[real]
+
+
 def solve_assignment(costs) -> Matching:
     """Minimum-cost injection of the smaller index set into the larger."""
     arr = check_cost_matrix(costs)
-    r, c = arr.shape
-    n = max(r, c)
-    if r == c:
-        padded = arr
-    else:
-        padded = np.full((n, n), PAD_COST)
-        padded[:r, :c] = arr
-    rows, cols = linear_sum_assignment(padded)
-    pairs = tuple(
-        (int(i), int(j)) for i, j in zip(rows, cols) if i < r and j < c
-    )
+    rows, cols = _padded_assignment(arr)
+    pairs = tuple((int(i), int(j)) for i, j in zip(rows, cols))
     cost = math.fsum(arr[i, j] for i, j in pairs)
-    return Matching(pairs=pairs, cost=cost, n_rows=r, n_cols=c)
+    return Matching(pairs=pairs, cost=cost, n_rows=arr.shape[0], n_cols=arr.shape[1])
 
 
 def solve_balanced_transport(costs) -> Matching:

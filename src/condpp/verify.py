@@ -139,74 +139,47 @@ def verify_stein(
     }
 
 
-def _delta_bounds_scenario(args) -> list[dict]:
-    """One uniform-bound scenario: random xi, alpha, beta, f; both orders."""
-    lam, m, replicas, seed, scenario = args
+def _delta_bounds_unit(args) -> list[dict]:
+    """One delta-bounds work unit: draw xi, alpha, beta and f; both orders.
+
+    A "uniform" unit draws xi from Po^(m) as scenario number key and checks
+    the uniform bounds; a "nonuniform" unit pins |xi| = key and checks the
+    size-dependent bounds.
+    """
+    kind, lam, m, replicas, seed, key = args
     space = unit_interval(lam)
     family = reference_test_functions(space)
-    setup = derive_stream(seed, 500_000 + scenario)
-    xi = sample_conditional_poisson(space, m, setup)
+    if kind == "uniform":
+        setup = derive_stream(seed, 500_000 + key)
+        xi = sample_conditional_poisson(space, m, setup)
+        bounds = (first_diff_bound(lam, m), second_diff_bound(lam, m))
+        est_seed = seed + 7919 * key
+        label = f"uniform-{key}"
+    else:
+        setup = derive_stream(seed, 700_000 + key)
+        xi = _fixed_size_configuration(key, space, setup)
+        bounds = (
+            first_diff_bound_nonuniform(lam, m, key),
+            second_diff_bound_nonuniform(lam, m, key),
+        )
+        est_seed = seed + 104729 * key
+        label = f"nonuniform-size{key}"
     alpha = space.sample_one(setup)
     beta = space.sample_one(setup)
     f = family[setup.integer(len(family))]
-    bound1 = first_diff_bound(lam, m)
-    bound2 = second_diff_bound(lam, m)
-    est1 = estimate_delta_h(
-        f, xi, alpha, m, space, replicas, seed + 7919 * scenario + 1
-    )
-    est2 = estimate_delta2_h(
-        f, xi, alpha, beta, m, space, replicas, seed + 7919 * scenario + 2
-    )
+    est1 = estimate_delta_h(f, xi, alpha, m, space, replicas, est_seed + 1)
+    est2 = estimate_delta2_h(f, xi, alpha, beta, m, space, replicas, est_seed + 2)
     rows = []
-    for order, est, bound in ((1, est1, bound1), (2, est2, bound2)):
+    for order, est, bound in zip((1, 2), (est1, est2), bounds):
         ok = (
             abs(est.estimate) <= bound + 3.0 * est.se
             and est.capped_fraction < MAX_CAPPED_FRACTION
         )
         rows.append(
             {
-                "kind": "uniform",
-                "scenario": f"uniform-{scenario}-order{order}",
+                "kind": kind,
+                "scenario": f"{label}-order{order}",
                 "size": xi.size,
-                "f": f.label,
-                "order": order,
-                "estimate": est.estimate,
-                "se": est.se,
-                "bound": bound,
-                "capped": est.capped,
-                "pass": ok,
-            }
-        )
-    return rows
-
-
-def _delta_bounds_nonuniform(args) -> list[dict]:
-    """Size-pinned scenario against the non-uniform bounds."""
-    lam, m, replicas, seed, size = args
-    space = unit_interval(lam)
-    family = reference_test_functions(space)
-    setup = derive_stream(seed, 700_000 + size)
-    xi = _fixed_size_configuration(size, space, setup)
-    alpha = space.sample_one(setup)
-    beta = space.sample_one(setup)
-    f = family[setup.integer(len(family))]
-    bound1 = first_diff_bound_nonuniform(lam, m, size)
-    bound2 = second_diff_bound_nonuniform(lam, m, size)
-    est1 = estimate_delta_h(f, xi, alpha, m, space, replicas, seed + 104729 * size + 1)
-    est2 = estimate_delta2_h(
-        f, xi, alpha, beta, m, space, replicas, seed + 104729 * size + 2
-    )
-    rows = []
-    for order, est, bound in ((1, est1, bound1), (2, est2, bound2)):
-        ok = (
-            abs(est.estimate) <= bound + 3.0 * est.se
-            and est.capped_fraction < MAX_CAPPED_FRACTION
-        )
-        rows.append(
-            {
-                "kind": "nonuniform",
-                "scenario": f"nonuniform-size{size}-order{order}",
-                "size": size,
                 "f": f.label,
                 "order": order,
                 "estimate": est.estimate,
@@ -236,16 +209,14 @@ def verify_delta_bounds(
     """
     if m < 1:
         raise ValueError("delta-bounds battery requires m >= 1")
-    uniform_args = [(lam, m, replicas, seed, s) for s in range(n_scenarios)]
-    nonuni_args = [(lam, m, replicas, seed, m + off) for off in nonuniform_offsets]
+    units = [("uniform", lam, m, replicas, seed, s) for s in range(n_scenarios)]
+    units += [("nonuniform", lam, m, replicas, seed, m + off) for off in nonuniform_offsets]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            uniform_rows = list(pool.map(_delta_bounds_scenario, uniform_args))
-            nonuni_rows = list(pool.map(_delta_bounds_nonuniform, nonuni_args))
+            blocks = list(pool.map(_delta_bounds_unit, units))
     else:
-        uniform_rows = [_delta_bounds_scenario(a) for a in uniform_args]
-        nonuni_rows = [_delta_bounds_nonuniform(a) for a in nonuni_args]
-    rows = [r for block in (*uniform_rows, *nonuni_rows) for r in block]
+        blocks = [_delta_bounds_unit(u) for u in units]
+    rows = [r for block in blocks for r in block]
     bounds = compute_stein_bounds(lam, m)
     return {
         "battery": "delta-bounds",

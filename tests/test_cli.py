@@ -144,6 +144,20 @@ class TestDistance:
         assert obj["n"] == 4
         assert "note" in obj
 
+    def test_points_outside_the_space_rejected(self, tmp_path, capsys):
+        inside = tmp_path / "inside.json"
+        outside = tmp_path / "outside.json"
+        inside.write_text('{"points": [[0.2]]}')
+        outside.write_text('{"points": [[5.0], [-3.0]]}')
+        assert run_cli("distance", "d1", "--a", str(outside), "--b", str(inside)) == 1
+        assert "outside" in capsys.readouterr().err
+        left = tmp_path / "left.jsonl"
+        right = tmp_path / "right.jsonl"
+        left.write_text('{"points": [[0.1, 0.2]]}\n{"points": [[0.3, 0.4]]}\n')
+        right.write_text('{"points": [[0.1, 0.2]]}\n{"points": [[0.3, 1.5]]}\n')
+        assert run_cli("distance", "d2", "--a", str(left), "--b", str(right)) == 1
+        assert "outside" in capsys.readouterr().err
+
     def test_missing_file_is_reported(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         a.write_text('{"points": [[0.1]]}')

@@ -29,6 +29,7 @@ from condpp.groundspace import (
 )
 from condpp.metrics import d1_bar
 from condpp.simulate import sample_conditional_poisson
+from condpp.verify import verify_delta_bounds
 from oracles import count_chain_h
 
 
@@ -287,6 +288,28 @@ class TestEstimatorsAgainstCountChain:
             replicas=50, seed=78, max_events=2,
         )
         assert est.capped > 0
+        # the four-chain estimator honours the cap too
+        est = estimate_delta2_h(
+            self.f, xi, np.array([0.5]), np.array([0.2]), self.M, self.space,
+            replicas=50, seed=78, max_events=2,
+        )
+        assert 0 < est.capped < est.replicas
+
+    def test_all_capped_is_refused(self):
+        # no completed replica leaves nothing to inflate by: refuse, not 0 +- 0
+        xi = make_xi(self.LAM, 1, seed=5)
+        a, b = np.array([0.5]), np.array([0.2])
+        args = (self.M, self.space, 50, 78)
+        calls = (
+            lambda: estimate_delta_h(self.f, xi, a, *args, max_events=0),
+            lambda: estimate_delta2_h(self.f, xi, a, b, *args, max_events=0),
+            lambda: estimate_h(self.f, xi, *args, max_events=0),
+            lambda: stein_residual(self.f, xi, *args, max_events=0),
+            lambda: estimate_coalescence_time(xi, a, *args, max_events=0),
+        )
+        for call in calls:
+            with pytest.raises(RuntimeError):
+                call()
 
 
 class TestSteinResidual:
@@ -341,6 +364,13 @@ class TestCoalescence:
         # death suppression at the floor can only delay the merge
         assert gated.estimate > free.estimate
 
+    def test_replica_floor_enforced(self):
+        space = unit_interval(2.0)
+        with pytest.raises(ValueError):
+            estimate_coalescence_time(
+                make_xi(2.0, 1), np.array([0.6]), 0, space, replicas=1, seed=0
+            )
+
 
 class TestPSurvival:
     @pytest.mark.parametrize("lam,k", [(2.0, 1), (2.0, 2), (5.0, 2)])
@@ -367,3 +397,83 @@ class TestPSurvival:
             estimate_p_survival(2.0, 1, 0, replicas=50, seed=0)
         with pytest.raises(ValueError):
             estimate_p_survival(2.0, 1, 2, replicas=200, seed=0)
+
+
+class TestDrawOrderPinned:
+    """Small-replica results pinned to values recorded before the estimators
+    shared one replica loop.
+
+    Every estimate is a fixed function of the uniforms each replica draws, so
+    a change in the order of draws moves these numbers.  The relative
+    tolerance only absorbs log1p rounding differences between platforms.
+    """
+
+    REL = 1e-9
+
+    @classmethod
+    def setup_class(cls):
+        cls.space = unit_interval(3.0)
+        cls.f = CountTestFunction(count_f_rule)
+        cls.xi = configuration_from_locations(
+            cls.space.sample(derive_stream(5, 123), 2)
+        )
+        cls.a, cls.b = np.array([0.25]), np.array([0.75])
+
+    def check(self, est, estimate, se, capped=0):
+        assert est.estimate == pytest.approx(estimate, rel=self.REL)
+        assert est.se == pytest.approx(se, rel=self.REL)
+        assert est.capped == capped
+
+    def test_estimators(self):
+        xi, a, b, space, f = self.xi, self.a, self.b, self.space, self.f
+        matching = reference_test_functions(space)[2]
+        self.check(
+            estimate_delta_h(f, xi, a, 1, space, 40, 11),
+            -0.09113113143778889, 0.016728730909776772,
+        )
+        self.check(
+            estimate_delta_h(matching, xi, a, 1, space, 20, 12),
+            0.17612387672892313, 0.030090143533153275,
+        )
+        self.check(
+            estimate_delta_h(f, xi, a, 1, space, 40, 11, max_events=3),
+            -0.23187478980470838, 0.0253840173682664, capped=25,
+        )
+        self.check(
+            estimate_delta2_h(f, xi, a, b, 1, space, 40, 13),
+            -0.007404510174177333, 0.0044303704560127955,
+        )
+        self.check(
+            estimate_h(f, xi, 1, space, 40, 14),
+            0.15840357117121046, 0.049176270042111,
+        )
+        self.check(
+            stein_residual(f, xi, 1, space, 30, 15),
+            0.021262238004496392, 0.06296237513661217,
+        )
+        self.check(
+            estimate_coalescence_time(xi, a, 1, space, 40, 16),
+            1.312321134978871, 0.19955050313838318,
+        )
+        self.check(
+            estimate_coalescence_time(xi, a, 1, space, 40, 16, max_events=3),
+            0.22176771053203181, 0.06904628744678892, capped=29,
+        )
+
+    def test_delta_bounds_units(self):
+        # one uniform and one non-uniform work unit
+        report = verify_delta_bounds(
+            lam=3.0, m=1, n_scenarios=1, replicas=30, seed=20, nonuniform_offsets=(2,)
+        )
+        want = {
+            "uniform-0-order1": (0.15484000526629071, 0.03036312749466025),
+            "uniform-0-order2": (-0.008105010878051584, 0.010438715516914436),
+            "nonuniform-size3-order1": (-0.07953445097840091, 0.01290080077565349),
+            "nonuniform-size3-order2": (-0.02803951692465266, 0.01949151092643856),
+        }
+        assert [row["scenario"] for row in report["rows"]] == list(want)
+        for row in report["rows"]:
+            estimate, se = want[row["scenario"]]
+            assert row["estimate"] == pytest.approx(estimate, rel=self.REL)
+            assert row["se"] == pytest.approx(se, rel=self.REL)
+            assert row["capped"] == 0
