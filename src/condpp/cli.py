@@ -16,7 +16,6 @@ import csv
 import io as _stringio
 import os
 import sys
-from dataclasses import dataclass
 
 from . import bernoulli_app, io, verify
 from .bounds import SteinBounds, compute_stein_bounds
@@ -53,70 +52,6 @@ def _resolve_seed(value: int | None) -> int:
         except ValueError as exc:
             raise UsageError(f"CONDPP_SEED is not an integer: {env!r}") from exc
     return 0
-
-
-@dataclass(frozen=True)
-class SimulateConfig:
-    lam: float
-    m: int
-    horizon: float
-    replicas: int
-    seed: int
-    out: str
-
-
-@dataclass(frozen=True)
-class SampleConfig:
-    law: str
-    count: int
-    seed: int
-    out: str
-    lam: float | None
-    m: int
-    n: int | None
-    p: float | None
-
-
-@dataclass(frozen=True)
-class DistanceConfig:
-    which: str
-    left: str
-    right: str
-    out: str | None
-    workers: int
-
-
-@dataclass(frozen=True)
-class BoundsConfig:
-    lam: float
-    m: int
-    size: int | None
-    fmt: str
-    out: str | None
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    battery: str
-    lam: float | None
-    m: int
-    replicas: int
-    scenarios: int
-    seed: int
-    fmt: str
-    out: str | None
-    workers: int
-
-
-@dataclass(frozen=True)
-class BernoulliConfig:
-    n: int
-    p: float
-    samples: int
-    replicas: int
-    seed: int
-    out: str | None
-    workers: int
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -176,39 +111,39 @@ def stein_bounds_to_obj(b: SteinBounds) -> dict:
     }
 
 
-def _cmd_simulate(cfg: SimulateConfig) -> int:
-    space = unit_interval(cfg.lam)
+def _cmd_simulate(args) -> int:
+    space = unit_interval(args.lam)
     trajs = []
-    for r in range(cfg.replicas):
-        stream = derive_stream(cfg.seed, r)
-        initial = sample_conditional_poisson(space, cfg.m, stream)
-        trajs.append(simulate_cid_chain(initial, cfg.m, cfg.horizon, space, stream))
-    io.write_trajectories(cfg.out, trajs)
+    for r in range(args.replicas):
+        stream = derive_stream(args.seed, r)
+        initial = sample_conditional_poisson(space, args.m, stream)
+        trajs.append(simulate_cid_chain(initial, args.m, args.horizon, space, stream))
+    io.write_trajectories(args.out, trajs)
     return 0
 
 
-def _cmd_sample(cfg: SampleConfig) -> int:
+def _cmd_sample(args) -> int:
     draws = []
-    if cfg.law in ("poisson", "cpoisson"):
-        if cfg.lam is None:
-            raise UsageError(f"--lambda is required for law '{cfg.law}'")
-        space = unit_interval(cfg.lam)
-        for r in range(cfg.count):
-            stream = derive_stream(cfg.seed, r)
-            if cfg.law == "poisson":
+    if args.law in ("poisson", "cpoisson"):
+        if args.lam is None:
+            raise UsageError(f"--lambda is required for law '{args.law}'")
+        space = unit_interval(args.lam)
+        for r in range(args.count):
+            stream = derive_stream(args.seed, r)
+            if args.law == "poisson":
                 draws.append(sample_poisson_process(space, stream))
             else:
-                draws.append(sample_conditional_poisson(space, cfg.m, stream))
+                draws.append(sample_conditional_poisson(space, args.m, stream))
     else:
-        if cfg.n is None or cfg.p is None:
-            raise UsageError(f"--n and --p are required for law '{cfg.law}'")
-        for r in range(cfg.count):
-            stream = derive_stream(cfg.seed, r)
-            if cfg.law == "bernoulli":
-                draws.append(sample_bernoulli_process(cfg.n, cfg.p, cfg.m, stream))
+        if args.n is None or args.p is None:
+            raise UsageError(f"--n and --p are required for law '{args.law}'")
+        for r in range(args.count):
+            stream = derive_stream(args.seed, r)
+            if args.law == "bernoulli":
+                draws.append(sample_bernoulli_process(args.n, args.p, args.m, stream))
             else:
-                draws.append(sample_binomial_process(cfg.n, cfg.p, cfg.m, stream))
-    io.write_configurations(cfg.out, draws)
+                draws.append(sample_binomial_process(args.n, args.p, args.m, stream))
+    io.write_configurations(args.out, draws)
     return 0
 
 
@@ -222,81 +157,77 @@ def _space_for(configs):
     return space
 
 
-def _cmd_distance(cfg: DistanceConfig) -> int:
-    if cfg.which == "d1":
-        left = io.read_configurations(cfg.left)
-        right = io.read_configurations(cfg.right)
+def _cmd_distance(args) -> int:
+    if args.which == "d1":
+        left = io.read_configurations(args.a)
+        right = io.read_configurations(args.b)
         if len(left) != 1 or len(right) != 1:
             raise UsageError("distance d1 expects exactly one configuration per file")
         value = d1_bar(left[0], right[0], _space_for([left[0], right[0]]))
         print(repr(value))
-        if cfg.out is not None:
-            _emit_json({"d1": value}, cfg.out)
+        if args.out is not None:
+            _emit_json({"d1": value}, args.out)
         return 0
-    ps = io.read_configurations(cfg.left)
-    qs = io.read_configurations(cfg.right)
+    ps = io.read_configurations(args.a)
+    qs = io.read_configurations(args.b)
     if not ps or len(ps) != len(qs):
         raise UsageError("distance d2 expects equal-size non-empty samples")
-    est = d2_bar_empirical(ps, qs, _space_for(ps + qs), workers=cfg.workers)
+    est = d2_bar_empirical(ps, qs, _space_for(ps + qs), workers=args.threads)
     obj = {"estimate": est.estimate, "n": est.n_samples, "seed": est.seed, "note": est.note}
     _emit_json(obj, None)
-    if cfg.out is not None:
-        _emit_json(obj, cfg.out)
+    if args.out is not None:
+        _emit_json(obj, args.out)
     return 0
 
 
-def _cmd_bounds(cfg: BoundsConfig) -> int:
-    obj = stein_bounds_to_obj(compute_stein_bounds(cfg.lam, cfg.m, cfg.size))
-    if cfg.fmt == "csv":
-        _emit_csv([obj], cfg.out)
+def _cmd_bounds(args) -> int:
+    obj = stein_bounds_to_obj(compute_stein_bounds(args.lam, args.m, args.size))
+    if args.fmt == "csv":
+        _emit_csv([obj], args.out)
     else:
-        _emit_json(obj, cfg.out)
+        _emit_json(obj, args.out)
     return 0
 
 
-def _cmd_verify(cfg: VerifyConfig) -> int:
-    if cfg.battery == "p-survival":
-        kwargs = dict(m=cfg.m, replicas=cfg.replicas, seed=cfg.seed)
-        if cfg.lam is not None:
-            kwargs["lams"] = (cfg.lam,)
+def _cmd_verify(args) -> int:
+    # Options left unset fall through to the battery's own defaults, so its
+    # signature is their one source; delta-bounds has no default lambda.
+    kwargs = {"m": args.m, "seed": args.seed}
+    if args.replicas is not None:
+        kwargs["replicas"] = args.replicas
+    if args.battery == "p-survival":
+        if args.lam is not None:
+            kwargs["lams"] = (args.lam,)
         report = verify.verify_p_survival(**kwargs)
-    elif cfg.battery == "stein":
-        report = verify.verify_stein(
-            lam=cfg.lam if cfg.lam is not None else 3.0,
-            m=cfg.m,
-            replicas=cfg.replicas,
-            seed=cfg.seed,
-        )
+    elif args.battery == "stein":
+        if args.lam is not None:
+            kwargs["lam"] = args.lam
+        report = verify.verify_stein(**kwargs)
     else:
-        report = verify.verify_delta_bounds(
-            lam=cfg.lam if cfg.lam is not None else 5.0,
-            m=cfg.m,
-            n_scenarios=cfg.scenarios,
-            replicas=cfg.replicas,
-            seed=cfg.seed,
-            workers=cfg.workers,
-        )
-    if cfg.fmt == "csv":
-        _emit_csv(report["rows"], cfg.out)
+        if args.scenarios is not None:
+            kwargs["n_scenarios"] = args.scenarios
+        lam = 5.0 if args.lam is None else args.lam
+        report = verify.verify_delta_bounds(lam=lam, workers=args.threads, **kwargs)
+    if args.fmt == "csv":
+        _emit_csv(report["rows"], args.out)
     else:
-        _emit_json(report, cfg.out)
+        _emit_json(report, args.out)
     return 0 if report["passed"] else 2
 
 
-def _cmd_bernoulli(cfg: BernoulliConfig) -> int:
-    lam = cfg.n * cfg.p
-    space = unit_interval(lam)
+def _cmd_bernoulli(args) -> int:
+    space = unit_interval(args.n * args.p)
     calibration = bernoulli_app.self_distance_calibration(
         bernoulli_app.conditional_poisson_law(space, 1),
-        cfg.samples,
-        cfg.replicas,
-        cfg.seed + 1_000_000,
+        args.samples,
+        args.replicas,
+        args.seed + 1_000_000,
         space,
-        workers=cfg.workers,
+        workers=args.threads,
     )
     allowance = bernoulli_app.calibrated_allowance(calibration)
     report = bernoulli_app.run_experiment(
-        cfg.n, cfg.p, cfg.samples, cfg.seed, allowance=allowance, workers=cfg.workers
+        args.n, args.p, args.samples, args.seed, allowance=allowance, workers=args.threads
     )
     obj = bernoulli_app.report_to_obj(report)
     obj["calibration"] = {
@@ -305,35 +236,46 @@ def _cmd_bernoulli(cfg: BernoulliConfig) -> int:
         "replicas": calibration.replicas,
         "seed": calibration.seed,
     }
-    _emit_json(obj, cfg.out)
+    _emit_json(obj, args.out)
     return 0 if report.passed else 2
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="condpp", description=__doc__)
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count() or 1,
-        help="worker cap for parallelizable stages (default: all cores)",
+        help="size of the worker process pool used by distance d2, verify "
+        "delta-bounds and bernoulli; results do not depend on it "
+        "(default: all cores)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="conditional immigration-death trajectories")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--t", "--horizon", dest="horizon", type=float, required=True)
-    p.add_argument("--replicas", type=int, default=1)
+    p.add_argument("--replicas", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("sample", help="draws from the point process laws")
+    p.set_defaults(run=_cmd_sample)
     p.add_argument(
         "--law",
         choices=("poisson", "cpoisson", "bernoulli", "binomial"),
         required=True,
     )
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--n", type=int, default=None)
@@ -342,12 +284,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("distance", help="configuration and sample distances")
+    p.set_defaults(run=_cmd_distance)
     p.add_argument("which", choices=("d1", "d2"))
     p.add_argument("--a", required=True, help="left file (configuration JSON/JSONL)")
     p.add_argument("--b", required=True, help="right file (configuration JSON/JSONL)")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bounds", help="closed-form Stein-factor bounds")
+    p.set_defaults(run=_cmd_bounds)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--xi-size", "--size", dest="size", type=int, default=None)
@@ -355,16 +299,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="simulation-vs-analytic batteries")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("battery", choices=("p-survival", "stein", "delta-bounds"))
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--scenarios", type=int, default=20)
+    p.add_argument("--scenarios", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("bernoulli", help="conditional Bernoulli approximation experiment")
+    p.set_defaults(run=_cmd_bernoulli)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--samples", type=int, default=500)
@@ -379,91 +325,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_VERIFY_DEFAULT_REPLICAS = {"p-survival": 100_000, "stein": 20_000, "delta-bounds": 1500}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise UsageError("--threads must be at least 1")
-        if args.command == "simulate":
-            return _cmd_simulate(
-                SimulateConfig(
-                    lam=args.lam,
-                    m=args.m,
-                    horizon=args.horizon,
-                    replicas=args.replicas,
-                    seed=_resolve_seed(args.seed),
-                    out=args.out,
-                )
-            )
-        if args.command == "sample":
-            return _cmd_sample(
-                SampleConfig(
-                    law=args.law,
-                    count=args.count,
-                    seed=_resolve_seed(args.seed),
-                    out=args.out,
-                    lam=args.lam,
-                    m=args.m,
-                    n=args.n,
-                    p=args.p,
-                )
-            )
-        if args.command == "distance":
-            return _cmd_distance(
-                DistanceConfig(
-                    which=args.which,
-                    left=args.a,
-                    right=args.b,
-                    out=args.out,
-                    workers=args.threads,
-                )
-            )
-        if args.command == "bounds":
-            return _cmd_bounds(
-                BoundsConfig(
-                    lam=args.lam, m=args.m, size=args.size, fmt=args.fmt, out=args.out
-                )
-            )
-        if args.command == "verify":
-            replicas = (
-                args.replicas
-                if args.replicas is not None
-                else _VERIFY_DEFAULT_REPLICAS[args.battery]
-            )
-            return _cmd_verify(
-                VerifyConfig(
-                    battery=args.battery,
-                    lam=args.lam,
-                    m=args.m,
-                    replicas=replicas,
-                    scenarios=args.scenarios,
-                    seed=_resolve_seed(args.seed),
-                    fmt=args.fmt,
-                    out=args.out,
-                    workers=args.threads,
-                )
-            )
-        if args.command == "bernoulli":
-            return _cmd_bernoulli(
-                BernoulliConfig(
-                    n=args.n,
-                    p=args.p,
-                    samples=args.samples,
-                    replicas=args.replicas,
-                    seed=_resolve_seed(args.seed),
-                    out=args.out,
-                    workers=args.threads,
-                )
-            )
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"condpp: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, BudgetError, io.SchemaError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        if "seed" in args:
+            args.seed = _resolve_seed(args.seed)
+        return args.run(args)
+    except (UsageError, ValueError, BudgetError, io.SchemaError, OSError) as exc:
         print(f"condpp: error: {exc}", file=sys.stderr)
         return 1
 

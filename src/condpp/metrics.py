@@ -19,7 +19,9 @@ from itertools import permutations
 import numpy as np
 
 from .groundspace import Configuration, GroundSpace
-from .transport import _padded_assignment, solve_balanced_transport
+# The solver comes through transport so that scipy.optimize is first imported
+# there, at the depth condpp/__init__.py relies on.
+from .transport import linear_sum_assignment, solve_balanced_transport
 
 __all__ = ["d1_bar", "d1_bar_bruteforce", "d2_bar_empirical", "D2Estimate"]
 
@@ -43,7 +45,7 @@ def _d1_locs(small: np.ndarray, large: np.ndarray, space: GroundSpace) -> float:
         w = float(space.pairwise(small, large).min())
         return (w + (n - 1)) / n
     costs = space.pairwise(small, large)
-    rows, cols = _padded_assignment(costs)
+    rows, cols = linear_sum_assignment(costs)
     w = float(costs[rows, cols].sum())
     return (w + (n - m)) / n
 

@@ -1,11 +1,8 @@
 """Exact assignment and balanced transport on small cost matrices.
 
-Rectangular problems are reduced to square ones by padding with cost 1, the
-diameter of the truncated ground metric, so unmatched real points pay the
-same penalty as a cardinality mismatch does in the configuration distance.
-Pad pairs are dropped from the reported matching and never contribute to its
-cost.  The square core is scipy's Hungarian-family solver, which is exact;
-tests compare against brute-force enumeration.
+scipy's Hungarian-family solver handles rectangular matrices directly: it
+matches every index of the smaller side and returns the pairs ordered by
+row.  It is exact; tests compare against brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -18,8 +15,6 @@ from scipy.optimize import linear_sum_assignment
 
 __all__ = ["Matching", "check_cost_matrix", "solve_assignment", "solve_balanced_transport"]
 
-PAD_COST = 1.0
-
 # Entries may overshoot [0, 1] by rounding noise only.
 _ENTRY_TOL = 1e-9
 
@@ -29,8 +24,8 @@ class Matching:
     """Injective matching of the smaller index set into the larger.
 
     pairs holds (row, col) index pairs into the original cost matrix; every
-    index on the smaller side appears exactly once.  cost is the exact sum of
-    the matched entries (pad pairs excluded).
+    index on the smaller side appears exactly once, in row order.  cost is
+    the exact sum of the matched entries.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -56,30 +51,10 @@ def check_cost_matrix(costs) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-def _padded_assignment(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal (rows, cols) of an (r, c) cost matrix, pad pairs dropped.
-
-    A rectangular matrix is padded to square with PAD_COST before the solve.
-    Returned pairs are ordered by row, as the square solver returns them.
-    """
-    r, c = costs.shape
-    if r == c:
-        return linear_sum_assignment(costs)
-    n = max(r, c)
-    padded = np.full((n, n), PAD_COST)
-    padded[:r, :c] = costs
-    rows, cols = linear_sum_assignment(padded)
-    if r < c:
-        # Rows come back sorted and every column is real: keep the first r.
-        return rows[:r], cols[:r]
-    real = cols < c
-    return rows[real], cols[real]
-
-
 def solve_assignment(costs) -> Matching:
     """Minimum-cost injection of the smaller index set into the larger."""
     arr = check_cost_matrix(costs)
-    rows, cols = _padded_assignment(arr)
+    rows, cols = linear_sum_assignment(arr)
     pairs = tuple((int(i), int(j)) for i, j in zip(rows, cols))
     cost = math.fsum(arr[i, j] for i, j in pairs)
     return Matching(pairs=pairs, cost=cost, n_rows=arr.shape[0], n_cols=arr.shape[1])

@@ -209,6 +209,8 @@ def verify_delta_bounds(
     """
     if m < 1:
         raise ValueError("delta-bounds battery requires m >= 1")
+    if n_scenarios < 0:
+        raise ValueError("delta-bounds battery requires n_scenarios >= 0")
     units = [("uniform", lam, m, replicas, seed, s) for s in range(n_scenarios)]
     units += [("nonuniform", lam, m, replicas, seed, m + off) for off in nonuniform_offsets]
     if workers > 1:

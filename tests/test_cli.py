@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -78,6 +79,16 @@ class TestSample:
             ) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        for count in ("0", "-3"):
+            assert run_cli(
+                "sample", "--law", "poisson", "--lambda", "2", "--count", count,
+                "--out", str(out),
+            ) == 1
+            assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_law_parameters_is_usage_error(self, tmp_path):
         out = tmp_path / "x.jsonl"
         assert run_cli(
@@ -103,6 +114,16 @@ class TestSimulate:
         )
         assert code == 0
         assert out.read_bytes() == out2.read_bytes()
+
+    def test_replicas_below_one_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "trajs.jsonl"
+        for replicas in ("0", "-1"):
+            assert run_cli(
+                "simulate", "--lambda", "2", "--t", "5", "--replicas", replicas,
+                "--out", str(out),
+            ) == 1
+            assert "--replicas" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDistance:
@@ -198,6 +219,50 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "verify_p_survival", fake)
         assert run_cli("verify", "p-survival", "--replicas", "100") == 2
+
+    @pytest.mark.parametrize(
+        "battery, name",
+        [
+            ("p-survival", "verify_p_survival"),
+            ("stein", "verify_stein"),
+            ("delta-bounds", "verify_delta_bounds"),
+        ],
+    )
+    def test_unset_options_take_the_library_defaults(
+        self, battery, name, capsys, monkeypatch
+    ):
+        signature = inspect.signature(getattr(verify, name))
+        calls = []
+
+        def record(**kwargs):
+            bound = signature.bind(**kwargs)
+            bound.apply_defaults()
+            calls.append((kwargs, bound.arguments))
+            return {"rows": [{"scenario": "recorded", "pass": True}], "passed": True}
+
+        monkeypatch.setattr(verify, name, record)
+        monkeypatch.delenv("CONDPP_SEED", raising=False)
+        assert run_cli("--threads", "1", "verify", battery) == 0
+        (passed, effective), = calls
+        library = {
+            key: param.default
+            for key, param in signature.parameters.items()
+            if param.default is not inspect.Parameter.empty
+        }
+        # The CLI sets only the floor, the seed and the pool size itself.
+        for key in set(library) - {"m", "seed", "workers"}:
+            assert key not in passed
+            assert effective[key] == library[key]
+        assert effective["m"] == 1 and effective["seed"] == 0
+        if battery == "delta-bounds":
+            assert effective["lam"] == 5.0
+
+    def test_negative_scenarios_is_usage_error(self, capsys):
+        assert run_cli(
+            "--threads", "1", "verify", "delta-bounds", "--scenarios", "-4",
+            "--replicas", "20",
+        ) == 1
+        assert "n_scenarios" in capsys.readouterr().err
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("CONDPP_SEED", "123")

@@ -60,6 +60,8 @@ class TestAgainstBruteForce:
         got = solve_assignment(c)
         assert got.cost == pytest.approx(assignment_cost_bruteforce(c), abs=1e-12)
         assert len(got.pairs) == min(shape)
+        rows = [i for i, _ in got.pairs]
+        assert rows == sorted(rows)
 
     def test_pairs_are_injective_and_consistent(self):
         c = rng(7).uniform(size=(5, 8))

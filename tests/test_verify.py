@@ -76,3 +76,7 @@ class TestDeltaBoundsBattery:
     def test_floor_zero_rejected(self):
         with pytest.raises(ValueError):
             verify.verify_delta_bounds(lam=3.0, m=0, n_scenarios=1, replicas=200)
+
+    def test_negative_scenario_count_rejected(self):
+        with pytest.raises(ValueError, match="n_scenarios"):
+            verify.verify_delta_bounds(lam=3.0, m=1, n_scenarios=-4, replicas=20)
