@@ -253,9 +253,10 @@ def _build_parser() -> _Parser:
         "--threads",
         type=_positive_int,
         default=os.cpu_count() or 1,
-        help="size of the worker process pool used by distance d2, verify "
-        "delta-bounds and bernoulli; results do not depend on it "
-        "(default: all cores)",
+        help="size of the worker process pool of verify delta-bounds and of "
+        "distance d2 outside the unit interval (cost matrices on the unit "
+        "interval, bernoulli's included, are built in one process); results "
+        "do not depend on it (default: all cores)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

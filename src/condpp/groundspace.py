@@ -23,6 +23,7 @@ __all__ = [
     "GroundSpace",
     "unit_interval",
     "unit_cube",
+    "is_unit_line",
     "Configuration",
     "configuration_from_locations",
     "empty_configuration",
@@ -172,6 +173,19 @@ def _cube_sampler(dimension: int, stream: RandomStream, size: int) -> np.ndarray
 
 def _cube_contains(x: np.ndarray) -> bool:
     return bool(np.all(x >= 0.0) and np.all(x <= 1.0))
+
+
+def is_unit_line(space: GroundSpace) -> bool:
+    """Whether space is [0, 1] with d0(x, y) = min(1, |x - y|), that is |x - y|.
+
+    Read from the metric and the membership test the space carries, never
+    from its label or its pairwise field, which a caller may wrap.
+    """
+    return (
+        space.dimension == 1
+        and space.metric is _truncated_euclidean
+        and space.contains is _cube_contains
+    )
 
 
 def unit_cube(total_mass: float, dimension: int = 1) -> GroundSpace:

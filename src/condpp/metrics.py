@@ -2,11 +2,17 @@
 
 d1_bar(xi, eta) matches the smaller configuration injectively into the larger
 at minimum ground cost, charges 1 per unmatched point, and normalizes by the
-larger size; it is a metric bounded by 1 on finite configurations.  d2_bar is
-the induced Wasserstein-type distance between point process laws; it is
-estimated from equal-size samples by balanced empirical transport with ground
-cost d1_bar, which is an upward-biased estimator (bias decays as the sample
-size grows; calibrate with matched self-distance runs).
+larger size; it is a metric bounded by 1 on finite configurations.  A single
+pair is solved with scipy's rectangular Hungarian solver in any space.
+
+d2_bar is the induced Wasserstein-type distance between point process laws;
+it is estimated from equal-size samples by balanced empirical transport with
+ground cost d1_bar, which is an upward-biased estimator (bias decays as the
+sample size grows; calibrate with matched self-distance runs).  Its cost
+matrix on the unit line comes from one batched kernel instead of a solve per
+pair: there d0(x, y) = |x - y|, a Monge cost, so an optimal injection is
+monotone once both configurations are sorted (Aggarwal et al., FOCS 1992),
+and all pairs of two given sizes are matched together by a banded DP.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .groundspace import Configuration, GroundSpace
+from .groundspace import Configuration, GroundSpace, is_unit_line
 # The solver comes through transport so that scipy.optimize is first imported
 # there, at the depth condpp/__init__.py relies on.
 from .transport import linear_sum_assignment, solve_balanced_transport
@@ -107,15 +113,75 @@ def _rows_block(space: GroundSpace, p_locs: list, q_locs: list) -> np.ndarray:
     return out
 
 
+def _sorted_by_size(locs: list) -> dict:
+    """size -> (sample indices, their sorted coordinates stacked row by row)."""
+    groups: dict[int, list[int]] = {}
+    for i, a in enumerate(locs):
+        groups.setdefault(a.shape[0], []).append(i)
+    return {
+        size: (np.array(idx), np.sort(np.stack([locs[i][:, 0] for i in idx]), axis=1))
+        for size, idx in groups.items()
+    }
+
+
+def _line_block(small: np.ndarray, large: np.ndarray) -> np.ndarray:
+    """d1_bar on the unit line for every (row of small, row of large) pair.
+
+    Rows are sorted coordinates, m per row of small and n >= m per row of
+    large.  The optimal injection is monotone, so the i-th small point takes
+    the large point i + s for an offset s in [0, n - m] that never decreases
+    in i.  d[..., s] is the least cost of the first i points with offsets up
+    to s.  At m = n there is one offset and d sums |a_i - b_i| in order; at
+    m = 0 the loop is empty and every entry is n / n = 1.
+    """
+    m, n = small.shape[1], large.shape[1]
+    if n == 0:
+        return np.zeros((small.shape[0], large.shape[0]))
+    band = n - m + 1
+    d = np.zeros((small.shape[0], large.shape[0], band))
+    for i in range(m):
+        step = np.abs(small[:, None, i, None] - large[None, :, i : i + band])
+        d = np.minimum.accumulate(d + step, axis=2)
+    return (d[:, :, -1] + (n - m)) / n
+
+
+def _unit_line_matrix(p_locs: list, q_locs: list) -> np.ndarray:
+    """pairwise_d1_matrix on the unit line, one size-pair block at a time.
+
+    Each pair is computed by the same call whichever sample it comes from
+    (smaller size first; equal sizes give |a - b| = |b - a|), so the matrix
+    of the swapped samples is exactly the transpose.
+    """
+    out = np.empty((len(p_locs), len(q_locs)))
+    q_groups = _sorted_by_size(q_locs)
+    for p_size, (rows, p_sorted) in _sorted_by_size(p_locs).items():
+        for q_size, (cols, q_sorted) in q_groups.items():
+            if p_size <= q_size:
+                block = _line_block(p_sorted, q_sorted)
+            else:
+                block = _line_block(q_sorted, p_sorted).T
+            out[np.ix_(rows, cols)] = block
+    return out
+
+
 def pairwise_d1_matrix(
     ps: list[Configuration],
     qs: list[Configuration],
     space: GroundSpace,
     workers: int = 1,
 ) -> np.ndarray:
-    """Cost matrix costs[i, j] = d1_bar(ps[i], qs[j]); rows fan out to workers."""
+    """Cost matrix costs[i, j] = d1_bar(ps[i], qs[j]).
+
+    On the unit line (groundspace.is_unit_line) the whole matrix comes from
+    the batched sorted-matching kernel in this process, within rounding of
+    the Hungarian solves.  In any other space each pair is a Hungarian solve,
+    and only then do rows fan out to `workers` processes.  Either way the
+    matrix does not depend on `workers`.
+    """
     p_locs = [p.locations for p in ps]
     q_locs = [q.locations for q in qs]
+    if is_unit_line(space):
+        return _unit_line_matrix(p_locs, q_locs)
     if workers <= 1 or len(ps) < 2 * workers:
         return _rows_block(space, p_locs, q_locs)
     blocks = np.array_split(np.arange(len(ps)), workers)

@@ -95,15 +95,18 @@ def _fixed_size_configuration(size: int, space, stream) -> Configuration:
 def verify_stein(
     lam: float = 3.0,
     m: int = 1,
-    sizes=(1, 2, 4),
+    sizes=None,
     replicas: int = 20_000,
     seed: int = 0,
 ) -> dict:
     """Generator identity residuals at fixed configuration sizes.
 
     Uses the count test function so the target is exactly zero and the
-    residual is a pure Monte Carlo null check.
+    residual is a pure Monte Carlo null check.  sizes defaults to
+    (m, m + 1, m + 3): the floor, one point above it and three above it.
     """
+    if sizes is None:
+        sizes = (m, m + 1, m + 3)
     space = unit_interval(lam)
     f = reference_test_functions(space)[3]
     rows = []

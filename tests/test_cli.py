@@ -257,6 +257,12 @@ class TestVerify:
         if battery == "delta-bounds":
             assert effective["lam"] == 5.0
 
+    def test_stein_sizes_follow_the_floor(self, capsys):
+        assert run_cli("verify", "stein", "--m", "2", "--replicas", "200") == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["m"] == 2
+        assert [row["size"] for row in obj["rows"]] == [2, 3, 5]
+
     def test_negative_scenarios_is_usage_error(self, capsys):
         assert run_cli(
             "--threads", "1", "verify", "delta-bounds", "--scenarios", "-4",

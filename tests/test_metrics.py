@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from condpp.coupling import MatchingDistanceTestFunction
 from condpp.groundspace import (
+    GroundSpace,
     configuration_from_locations,
     derive_stream,
     empty_configuration,
+    is_unit_line,
     unit_cube,
     unit_interval,
 )
@@ -20,6 +22,26 @@ SPACE2 = unit_cube(3.0, dimension=2)
 
 def cfg(*points):
     return configuration_from_locations([[p] for p in points])
+
+
+def line_sample(stream, sizes):
+    """Configurations on [0, 1] of the given sizes; every second one sits on
+    the grid {0, 1/4, 1/2, 3/4}, so coordinates repeat within and across."""
+    out = []
+    for k, size in enumerate(sizes):
+        locs = SPACE.sampler(stream, size)
+        if k % 2:
+            locs = np.floor(4 * locs) / 4
+        out.append(configuration_from_locations(locs, dimension=1))
+    return out
+
+
+def _doubled_metric(x, y):
+    return min(1.0, 2.0 * float(np.abs(x - y).sum()))
+
+
+def _doubled_pairwise(xs, ys):
+    return np.minimum(1.0, 2.0 * np.abs(xs[:, None, 0] - ys[None, :, 0]))
 
 
 def random_config(stream, space, max_size=7, min_size=0):
@@ -130,21 +152,73 @@ class TestD1Axioms:
 
 class TestPairwiseMatrix:
     def test_entries_match_scalar_calls(self):
+        # Every size pair from 0 to 12, with empty configurations and
+        # repeated coordinates: the unit-line kernel against the per-pair
+        # Hungarian solve and, up to size 7, against enumeration.
         stream = derive_stream(8, 0)
-        ps = [random_config(stream, SPACE, max_size=4) for _ in range(5)]
-        qs = [random_config(stream, SPACE, max_size=4) for _ in range(3)]
+        ps = line_sample(stream, [*range(13), *range(13)])
+        qs = line_sample(stream, [*range(12, -1, -1), *range(13)])
         mat = pairwise_d1_matrix(ps, qs, SPACE)
-        for i in range(5):
-            for j in range(3):
-                assert mat[i, j] == pytest.approx(d1_bar(ps[i], qs[j], SPACE))
+        for i, p in enumerate(ps):
+            for j, q in enumerate(qs):
+                assert mat[i, j] == pytest.approx(d1_bar(p, q, SPACE), abs=1e-12)
+                if max(p.size, q.size) <= 7:
+                    assert mat[i, j] == pytest.approx(
+                        d1_bar_bruteforce(p, q, SPACE), abs=1e-12
+                    )
+        np.testing.assert_array_equal(pairwise_d1_matrix(qs, ps, SPACE), mat.T)
+        assert np.all(np.diag(pairwise_d1_matrix(ps, ps, SPACE)) == 0.0)
 
     def test_worker_fanout_is_deterministic(self):
+        # The unit line runs in-process; the square fans out Hungarian rows.
         stream = derive_stream(8, 1)
-        ps = [random_config(stream, SPACE, max_size=4) for _ in range(10)]
-        qs = [random_config(stream, SPACE, max_size=4) for _ in range(6)]
-        one = pairwise_d1_matrix(ps, qs, SPACE, workers=1)
-        two = pairwise_d1_matrix(ps, qs, SPACE, workers=2)
-        np.testing.assert_array_equal(one, two)
+        ps = line_sample(stream, [*range(13), *range(13)])
+        qs = line_sample(stream, [*range(13)])
+        ps2 = [random_config(stream, SPACE2, max_size=4) for _ in range(10)]
+        qs2 = [random_config(stream, SPACE2, max_size=4) for _ in range(6)]
+        for space, a, b in ((SPACE, ps, qs), (SPACE2, ps2, qs2)):
+            one = pairwise_d1_matrix(a, b, space, workers=1)
+            two = pairwise_d1_matrix(a, b, space, workers=2)
+            np.testing.assert_array_equal(one, two)
+
+    def test_line_kernel_needs_the_line_metric(self):
+        # Another metric on [0, 1] keeps the per-pair Hungarian solve.
+        doubled = GroundSpace(
+            dimension=1,
+            total_mass=3.0,
+            metric=_doubled_metric,
+            pairwise=_doubled_pairwise,
+            sampler=SPACE.sampler,
+            contains=SPACE.contains,
+        )
+        assert is_unit_line(SPACE) and not is_unit_line(doubled)
+        assert not is_unit_line(SPACE2)
+        stream = derive_stream(8, 2)
+        ps = line_sample(stream, [0, 1, 2, 3, 5, 5])
+        qs = line_sample(stream, [1, 2, 4, 5])
+        mat = pairwise_d1_matrix(ps, qs, doubled)
+        for i, p in enumerate(ps):
+            for j, q in enumerate(qs):
+                assert mat[i, j] == d1_bar(p, q, doubled)
+        assert not np.allclose(mat, pairwise_d1_matrix(ps, qs, SPACE))
+
+    def test_line_kernel_survives_a_wrapped_pairwise(self):
+        # A caller may swap a space's pairwise field (a tracer does); the
+        # space is still the unit line and takes the kernel.
+        space = unit_interval(3.0)
+        calls = []
+
+        def wrapped(xs, ys):
+            calls.append(1)
+            return SPACE.pairwise(xs, ys)
+
+        object.__setattr__(space, "pairwise", wrapped)
+        stream = derive_stream(8, 3)
+        ps = line_sample(stream, [0, 1, 3, 4, 6])
+        qs = line_sample(stream, [2, 3, 6])
+        mat = pairwise_d1_matrix(ps, qs, space)
+        assert calls == []
+        np.testing.assert_array_equal(mat, pairwise_d1_matrix(ps, qs, SPACE))
 
 
 class TestD2Empirical:
