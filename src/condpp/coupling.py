@@ -11,8 +11,12 @@ conditional immigration-death chain, coalescence (identical identity sets)
 is absorbing, and chains ordered by inclusion stay ordered, which gives the
 pathwise domination used by the tests.
 
-Every estimator runs its replicas through one loop, one coupled run per
-derived stream, and integrates a contrast of a test function along each run:
+The engine runs all replicas of an estimate as one numpy batch, one event a
+step.  Each replica reads its own derived stream in a fixed order (holding
+time, event type, then a location or a victim) and draws victims from its
+own live list of chain-membership bitmasks, kept in swap-remove order, so
+its path does not depend on the batch it runs in; run_coupled_chains is a
+batch of one.  Each replica integrates a contrast of a test function:
   delta_h      -mean int f(Z_{xi+a}) - f(Z_xi) dt            (2 chains)
   delta2_h     -mean int f(Z_{xi+a+b}) - f(Z_{xi+a}) - ...   (4 chains)
   h            -mean int f(Z_xi) - f(Z_W) dt, W stationary   (2 chains)
@@ -23,6 +27,7 @@ inflated conservatively, and an estimate is refused when every replica hits it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +61,7 @@ __all__ = [
 ]
 
 DEFAULT_EVENT_CAP = 10_000
+_BATCH_ROWS = 4096
 
 # Count-based test functions are Lipschitz-checked on this prefix.
 _COUNT_CHECK_UPTO = 1000
@@ -186,10 +192,170 @@ class CoupledRun:
     states: tuple[CoupledState, ...] | None = None
 
 
-def _chain_arrays(order: dict, locs: dict, dim: int) -> np.ndarray:
-    if not order:
-        return np.zeros((0, dim))
-    return np.array([locs[tag] for tag in order])
+@dataclass(frozen=True)
+class _Drawn:
+    """Stream stand-in that hands one step's location uniforms to a sampler."""
+
+    u: np.ndarray
+
+    def uniforms(self, n: int) -> np.ndarray:
+        if n != self.u.size:
+            raise ValueError("coupled chains need a sampler reading `dimension` uniforms a point")
+        return self.u
+
+
+def _start(initial, floors, dim: int) -> tuple[list, list, list]:
+    """Tags, chain masks and locations of one row's identities, first seen first."""
+    locs, masks = {}, {}
+    for c, cfg in enumerate(initial):
+        if cfg.dimension != dim:
+            raise ValueError("configuration dimension does not match the space")
+        if floors[c] < 0 or cfg.size < floors[c]:
+            raise ValueError(f"chain {c} starts below its floor")
+        for tag, loc in zip(cfg.tags, cfg.locations):
+            if tag not in masks:
+                locs[tag], masks[tag] = loc, 0
+            elif not np.array_equal(locs[tag], loc):
+                raise ValueError(f"tag {tag} has conflicting locations")
+            masks[tag] |= 1 << c
+    return list(masks), list(masks.values()), list(locs.values())
+
+
+def _run_batch(
+    starts, streams, floors, space, coefficients, f, *,
+    horizon=None, stop_on_coalescence=True, max_events, record=False,
+):
+    """The engine: row r runs from starts[r] on streams[r], all rows in step.
+
+    A location takes `dimension` uniforms, a victim one.  Streams are read
+    ahead in blocks; a batch of one puts the unread rest back.  Tags and
+    locations are kept when a location functional or record needs them, and
+    chains list their identities by tag.  Returns per-row integral, elapsed,
+    events, coalescence time (NaN if none), capped and final counts, plus
+    the states of a recorded batch of one.
+    """
+    k, rows, dim, lam = len(floors), len(starts), space.dimension, space.total_mass
+    full, bits = (1 << k) - 1, np.left_shift(1, np.arange(k, dtype=np.int64))
+    floor = np.asarray(floors)[:, None]
+    coef = np.zeros((k, 1)) if coefficients is None else np.asarray(coefficients, float)[:, None]
+    use_f = f is not None and bool(coef.any())
+    by_count = use_f and not f.needs_locations
+    keep_locs = record or (use_f and f.needs_locations)
+    begun = []
+    for i, s in enumerate(starts):  # rows sharing one list of chains read it once
+        begun.append(begun[-1] if i and s is starts[i - 1] else _start(s, floors, dim))
+    # A row per quantity, so stopped rows leave by one take per array.  Floats:
+    # t, integral, phi, tau, f of each chain.  Ints: stream position, live
+    # identities, next tag, row number, row in the wide arrays U, mask, tag and
+    # loc (which shed stopped rows only when they widen), count of each chain.
+    F, I = np.zeros((4 + k, rows)), np.zeros((5 + k, rows), dtype=np.int64)
+    views = lambda: (*F[:4], F[4:], *I[:5], I[5:])
+    t, integral, phi, tau, fvals, pos, nlive, born, row_id, here, counts = views()
+    nlive[:], tau[:] = [len(b[0]) for b in begun], np.nan
+    row_id[:] = here[:] = range(rows)
+    mask = np.zeros((rows, int(nlive.max()) + 8), dtype=np.int64)
+    tag = np.zeros_like(mask) if keep_locs else None
+    loc = np.zeros(mask.shape + (dim,)) if keep_locs else None
+    for i, (tags, masks, locs) in enumerate(begun):
+        mask[i, : len(tags)], born[i] = masks, max(tags, default=-1) + 1
+        if keep_locs:
+            tag[i, : len(tags)], loc[i, : len(tags)] = tags, np.reshape(locs, (-1, dim))
+    counts[:] = ((mask & bits[:, None, None]) != 0).sum(axis=2)
+    coalesced = lambda: counts.min(axis=0) == nlive
+    U = np.array([s.uniforms(64) for s in streams]).reshape(rows, 64)
+    table, reads = np.empty(0), np.arange(3)[:, None]
+
+    def members(i: int, c: int) -> tuple:
+        slots = (mask[here[i], : nlive[i]] & bits[c]).nonzero()[0]
+        return here[i], slots[tag[here[i], slots].argsort()]
+
+    def snapshot(time: float) -> CoupledState:
+        cfgs = (Configuration(tuple(tag[m]), loc[m]) for m in (members(0, c) for c in range(k)))
+        live = (here[0], slice(0, nlive[0]))
+        matched = frozenset(tag[live][mask[live] == full].tolist())
+        return CoupledState(time, tuple(cfgs), matched, bool(coalesced()[0]))
+
+    def refresh(changed: np.ndarray) -> None:  # location functionals, per changed chain
+        rows_changed = changed.nonzero()[0]
+        for i, chains in zip(rows_changed.tolist(), changed[rows_changed].tolist()):
+            for c in range(k):
+                if chains >> c & 1:
+                    fvals[c, i] = f.from_locations(loc[members(i, c)])
+        phi[rows_changed] = (coef * fvals[:, rows_changed]).sum(axis=0)
+
+    if use_f and not by_count:
+        refresh(np.full(rows, full))
+    states = [snapshot(0.0)] if record else None
+    out_F, out_I = np.zeros_like(F), np.zeros_like(I)
+    out_events, out_capped = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
+    for step in itertools.count():
+        if not stop_on_coalescence:
+            np.copyto(tau, t, where=coalesced() & np.isnan(tau))
+        if by_count:  # counts never exceed the mask width
+            if table.size <= mask.shape[1]:
+                table = np.array([f.from_count(j) for j in range(mask.shape[1] + 1)], dtype=float)
+            np.sum(coef * table[counts], axis=0, out=phi)
+        done = hold = coalesced() & stop_on_coalescence
+        if step >= max_events:
+            out_capped[row_id] = ~hold
+            done = np.ones_like(hold)
+        else:
+            if pos.max() + 2 + max(dim, 1) > U.shape[1] or nlive.max() >= mask.shape[1]:
+                wider = lambda a: np.concatenate([a[here], np.zeros_like(a[here])], axis=1)
+                U, mask, tag, loc = (a if a is None else wider(a) for a in (U, mask, tag, loc))
+                U[:, U.shape[1] // 2 :] = [streams[r].uniforms(U.shape[1] // 2) for r in row_id]
+                here[:] = range(here.size)
+            u = U[here, pos + reads]
+            rate = lam + nlive
+            ndt = np.log1p(-u[0]) / rate  # minus the holding time
+            if horizon is not None:
+                over = ~hold & (t - ndt >= horizon)
+                integral[over] += (horizon - t[over]) * phi[over]
+                t[over] = horizon
+                pos += over
+                done = hold | over
+        if done.any():
+            np.copyto(tau, t, where=hold)
+            stopped = np.flatnonzero(done)
+            rid = row_id[stopped]
+            out_F[:, rid], out_I[:, rid], out_events[rid] = F[:, stopped], I[:, stopped], step
+            if stopped.size == done.size:
+                break
+            keep = np.flatnonzero(~done)
+            F, I, u, rate, ndt = (a.take(keep, -1) for a in (F, I, u, rate, ndt))
+            t, integral, phi, tau, fvals, pos, nlive, born, row_id, here, counts = views()
+        integral -= ndt * phi
+        t -= ndt
+        imm = u[1] * rate < lam
+        slot = np.where(imm, nlive, np.minimum(u[2] * nlive, nlive - 1).astype(np.int64))
+        old = mask[here, slot]
+        drop = old & (bits @ (counts > floor))
+        new = np.where(imm, full, old ^ drop)
+        mask[here, slot] = new
+        counts += imm
+        counts -= (drop & bits[:, None]) != 0
+        if keep_locs and imm.any():
+            into = np.flatnonzero(imm)
+            at = (here[into], nlive[into])
+            tag[at], born[into] = born[into], born[into] + 1
+            drawn = U[here[into, None], pos[into, None] + 2 + np.arange(dim)]
+            loc[at] = space.sample(_Drawn(drawn.ravel()), into.size)
+        gone = np.flatnonzero(new == 0)
+        if gone.size:
+            row, last = here[gone], nlive[gone] - 1
+            for a in (mask, tag, loc) if keep_locs else (mask,):
+                a[row, slot[gone]] = a[row, last]
+            mask[row, last], nlive[gone] = 0, last
+        nlive += imm
+        pos += np.where(imm, 2 + dim, 3)
+        if use_f and not by_count:
+            refresh(np.where(imm, full, drop))
+        if record:
+            states.append(snapshot(float(t[0])))
+    if rows == 1:
+        streams[0]._unread(U[here[0], pos[0] :])
+    return (*out_F[[1, 0]], out_events, out_F[3], out_capped, out_I[5:].T,
+            tuple(states) if record else None)
 
 
 def run_coupled_chains(
@@ -212,158 +378,21 @@ def run_coupled_chains(
     The integral accumulated is int sum_c coefficients[c] f(chain c) dt,
     piecewise constant between events.
     """
-    k_chains = len(initial)
-    if k_chains == 0 or len(floors) != k_chains:
+    if not initial or len(floors) != len(initial):
         raise ValueError("need one floor per chain")
     if horizon is None and not stop_on_coalescence:
         raise ValueError("need a horizon when not stopping at coalescence")
-    if coefficients is None:
-        coefficients = tuple(0.0 for _ in range(k_chains))
-    if len(coefficients) != k_chains:
+    if coefficients is not None and len(coefficients) != len(initial):
         raise ValueError("need one coefficient per chain")
-    lam = space.total_mass
-    dim = space.dimension
-
-    locs: dict[int, np.ndarray] = {}
-    membership: dict[int, int] = {}
-    # Insertion-ordered tag containers keep location arrays, and therefore
-    # every downstream float, identical from run to run.
-    chains: list[dict[int, None]] = [dict() for _ in range(k_chains)]
-    for c, cfg in enumerate(initial):
-        if cfg.dimension != dim:
-            raise ValueError("configuration dimension does not match the space")
-        if floors[c] < 0 or cfg.size < floors[c]:
-            raise ValueError(f"chain {c} starts below its floor")
-        for tag, loc in zip(cfg.tags, cfg.locations):
-            if tag in locs:
-                if not np.array_equal(locs[tag], loc):
-                    raise ValueError(f"tag {tag} has conflicting locations")
-            else:
-                locs[tag] = np.asarray(loc, dtype=float)
-                membership[tag] = 0
-            membership[tag] |= 1 << c
-            chains[c][tag] = None
-    full_mask = (1 << k_chains) - 1
-    live = list(membership)
-    position = {tag: i for i, tag in enumerate(live)}
-    counts = [len(chain) for chain in chains]
-    n_partial = sum(1 for tag in live if membership[tag] != full_mask)
-    next_tag = max(live, default=-1) + 1
-
-    use_f = test_function is not None and any(coefficients)
-    fvals = [0.0] * k_chains
-    if use_f:
-        if test_function.needs_locations:
-            for c in range(k_chains):
-                fvals[c] = test_function.from_locations(
-                    _chain_arrays(chains[c], locs, dim)
-                )
-        else:
-            for c in range(k_chains):
-                fvals[c] = test_function.from_count(counts[c])
-
-    def contrast() -> float:
-        return math.fsum(coefficients[c] * fvals[c] for c in range(k_chains))
-
-    def snapshot(t: float, coalesced: bool) -> CoupledState:
-        cfgs = tuple(
-            Configuration(tuple(chains[c]), _chain_arrays(chains[c], locs, dim))
-            for c in range(k_chains)
-        )
-        matched = frozenset(
-            tag for tag in live if membership[tag] == full_mask
-        )
-        return CoupledState(
-            time=t, configurations=cfgs, matched_tags=matched, coalesced=coalesced
-        )
-
-    t = 0.0
-    integral = 0.0
-    events = 0
-    capped = False
-    coalescence_time = 0.0 if n_partial == 0 else None
-    states = [snapshot(0.0, n_partial == 0)] if record else None
-    phi = contrast() if use_f else 0.0
-
-    while True:
-        if stop_on_coalescence and n_partial == 0:
-            break
-        if events >= max_events:
-            capped = True
-            break
-        rate = lam + len(live)
-        dt = stream.exponential(rate)
-        if horizon is not None and t + dt >= horizon:
-            integral += (horizon - t) * phi
-            t = horizon
-            break
-        integral += dt * phi
-        t += dt
-        events += 1
-        changed = 0
-        if stream.uniform() * rate < lam:
-            loc = space.sample_one(stream)
-            tag = next_tag
-            next_tag += 1
-            locs[tag] = loc
-            membership[tag] = full_mask
-            position[tag] = len(live)
-            live.append(tag)
-            for c in range(k_chains):
-                chains[c][tag] = None
-                counts[c] += 1
-            changed = full_mask
-        else:
-            victim = live[stream.integer(len(live))]
-            mask = membership[victim]
-            newmask = mask
-            bit = 1
-            for c in range(k_chains):
-                if mask & bit and counts[c] > floors[c]:
-                    del chains[c][victim]
-                    counts[c] -= 1
-                    newmask &= ~bit
-                    changed |= bit
-                bit <<= 1
-            was_partial = mask != full_mask
-            if newmask == 0:
-                last = live.pop()
-                idx = position.pop(victim)
-                if last != victim:
-                    live[idx] = last
-                    position[last] = idx
-                del membership[victim]
-                del locs[victim]
-                if was_partial:
-                    n_partial -= 1
-            else:
-                membership[victim] = newmask
-                n_partial += (newmask != full_mask) - was_partial
-        if n_partial == 0 and coalescence_time is None:
-            coalescence_time = t
-        if use_f and changed:
-            bit = 1
-            for c in range(k_chains):
-                if changed & bit:
-                    if test_function.needs_locations:
-                        fvals[c] = test_function.from_locations(
-                            _chain_arrays(chains[c], locs, dim)
-                        )
-                    else:
-                        fvals[c] = test_function.from_count(counts[c])
-                bit <<= 1
-            phi = contrast()
-        if record:
-            states.append(snapshot(t, n_partial == 0))
-
+    *run, states = _run_batch(
+        [initial], [stream], floors, space, coefficients, test_function,
+        horizon=horizon, stop_on_coalescence=stop_on_coalescence,
+        max_events=max_events, record=record,
+    )
+    integral, elapsed, events, tau, capped, counts = (a[0] for a in run)
     return CoupledRun(
-        integral=integral,
-        elapsed=t,
-        events=events,
-        coalescence_time=coalescence_time,
-        capped=capped,
-        final_counts=tuple(counts),
-        states=tuple(states) if record else None,
+        float(integral), float(elapsed), int(events), None if np.isnan(tau) else float(tau),
+        bool(capped), tuple(counts.tolist()), states,
     )
 
 
@@ -384,14 +413,8 @@ def simulate_coupled_pair(
 ) -> CoupledRun:
     """Recorded coupled run of Z_{xi+alpha} against Z_xi (both floored at m)."""
     return run_coupled_chains(
-        _pair_initials(xi, alpha_location),
-        [m, m],
-        space,
-        stream,
-        horizon=horizon,
-        stop_on_coalescence=horizon is None,
-        max_events=max_events,
-        record=True,
+        _pair_initials(xi, alpha_location), [m, m], space, stream, horizon=horizon,
+        stop_on_coalescence=horizon is None, max_events=max_events, record=True,
     )
 
 
@@ -411,54 +434,34 @@ def simulate_domination_triple(
     base = Configuration(tuple(range(xi.size)), xi.locations)
     empty = Configuration((), np.zeros((0, space.dimension)))
     return run_coupled_chains(
-        [base, base, empty],
-        [m, 0, 0],
-        space,
-        stream,
-        horizon=horizon,
-        stop_on_coalescence=False,
-        max_events=max_events,
-        record=True,
+        [base, base, empty], [m, 0, 0], space, stream, horizon=horizon,
+        stop_on_coalescence=False, max_events=max_events, record=True,
     )
 
 
 def _run_replicas(
-    initial,
-    floors: list[int],
-    coefficients: tuple[float, ...] | None,
-    f: TestFunction | None,
-    space: GroundSpace,
-    replicas: int,
-    seed: int,
-    *,
-    stream_offset: int,
-    max_events: int,
+    initial, floors: list[int], coefficients: tuple[float, ...] | None,
+    f: TestFunction | None, space: GroundSpace, replicas: int, seed: int, *, max_events: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One coupled run per derived stream; the replica loop of every estimator.
+    """Every replica of an estimate through the engine; the one replica driver.
 
-    initial is either the list of starting configurations shared by every
-    replica, or a callable that draws a replica's configurations from its
-    stream before the run consumes that stream.  Returns per-replica arrays of
+    Replica r reads the derived stream (seed, r).  initial is either the list
+    of starting configurations shared by every replica, or a callable
+    (r, stream) that draws replica r's configurations from its stream before
+    the run reads it.  Batches hold at most _BATCH_ROWS replicas, since each
+    keeps a stream of a few kB while it runs.  Returns per-replica arrays of
     the contrast integral, the capped flag and the coalescence time (NaN for
     capped replicas, which never coalesce).
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    integrals = np.empty(replicas)
-    capped = np.zeros(replicas, dtype=bool)
-    taus = np.full(replicas, np.nan)
-    for r in range(replicas):
-        stream = derive_stream(seed, stream_offset + r)
-        chains = initial(stream) if callable(initial) else initial
-        run = run_coupled_chains(
-            chains, floors, space, stream,
-            coefficients=coefficients, test_function=f, max_events=max_events,
-        )
-        integrals[r] = run.integral
-        capped[r] = run.capped
-        if run.coalescence_time is not None:
-            taus[r] = run.coalescence_time
-    return integrals, capped, taus
+    parts = []
+    for lo in range(0, replicas, _BATCH_ROWS):
+        streams = [derive_stream(seed, r) for r in range(lo, min(lo + _BATCH_ROWS, replicas))]
+        starts = [initial(*rs) if callable(initial) else initial for rs in enumerate(streams, lo)]
+        run = _run_batch(starts, streams, floors, space, coefficients, f, max_events=max_events)
+        parts.append((run[0], run[4], run[3]))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _contrast_estimate(
@@ -504,7 +507,7 @@ def estimate_delta_h(
         raise ValueError("xi must sit at or above the floor m")
     runs = _run_replicas(
         _pair_initials(xi, alpha_location), [m, m], (1.0, -1.0), f, space,
-        replicas, seed, stream_offset=0, max_events=max_events,
+        replicas, seed, max_events=max_events,
     )
     return _contrast_estimate(runs, span=1.0, seed=seed)
 
@@ -528,7 +531,7 @@ def estimate_delta2_h(
     with_ab = with_a.with_point(xi.size + 1, beta_location)
     runs = _run_replicas(
         [with_ab, with_a, with_b, base], [m, m, m, m], (1.0, -1.0, -1.0, 1.0), f,
-        space, replicas, seed, stream_offset=0, max_events=max_events,
+        space, replicas, seed, max_events=max_events,
     )
     return _contrast_estimate(runs, span=2.0, seed=seed)
 
@@ -552,14 +555,14 @@ def estimate_h(
         raise ValueError("xi must sit at or above the floor m")
     base = Configuration(tuple(range(xi.size)), xi.locations)
 
-    def with_partner(stream: RandomStream) -> list[Configuration]:
+    def with_partner(r: int, stream: RandomStream) -> list[Configuration]:
         partner = sample_conditional_poisson(space, m, stream)
         tags = tuple(range(xi.size, xi.size + partner.size))
         return [base, Configuration(tags, partner.locations)]
 
     runs = _run_replicas(
         with_partner, [m, m], (1.0, -1.0), f, space, replicas, seed,
-        stream_offset=0, max_events=max_events,
+        max_events=max_events,
     )
     return _contrast_estimate(runs, span=1.0, seed=seed)
 
@@ -580,7 +583,7 @@ def estimate_coalescence_time(
     """
     _, capped, taus = _run_replicas(
         _pair_initials(xi, alpha_location), [m, m], None, None, space,
-        replicas, seed, stream_offset=0, max_events=max_events,
+        replicas, seed, max_events=max_events,
     )
     times = taus[~capped]
     if times.size < 2:
@@ -637,30 +640,27 @@ def stein_residual(
     """
     if xi.size < m:
         raise ValueError("xi must sit at or above the floor m")
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas")
     lam = space.total_mass
     base = Configuration(tuple(range(xi.size)), xi.locations)
+    # Component 0 is the immigration average, alpha drawn fresh each replica;
+    # components 1..n are one death term per point of xi, active above the
+    # floor.  Component i reads streams i * replicas onwards, all in one batch.
+    dying = [[base, base.without_tag(i)] for i in range(xi.size)] if xi.size > m else []
 
-    # Component 0: immigration average, alpha resampled each replica.
-    imm = _contrast_estimate(
-        _run_replicas(
-            lambda stream: _pair_initials(xi, space.sample_one(stream)),
-            [m, m], (1.0, -1.0), f, space, replicas, seed,
-            stream_offset=0, max_events=max_events,
-        ),
-        span=1.0, seed=seed,
+    def component(r: int, stream: RandomStream) -> list[Configuration]:
+        i = r // replicas
+        return dying[i - 1] if i else _pair_initials(xi, space.sample_one(stream))
+
+    runs = _run_replicas(
+        component, [m, m], (1.0, -1.0), f, space, replicas * (1 + len(dying)), seed,
+        max_events=max_events,
     )
-    # Components 1..n: one death term per point of xi, active above the floor.
-    deaths = [
-        _contrast_estimate(
-            _run_replicas(
-                [base, base.without_tag(i)], [m, m], (1.0, -1.0), f, space,
-                replicas, seed, stream_offset=(i + 1) * replicas,
-                max_events=max_events,
-            ),
-            span=1.0, seed=seed,
-        )
-        for i in range(xi.size)
-    ] if xi.size > m else []
+    imm, *deaths = [
+        _contrast_estimate(part, span=1.0, seed=seed)
+        for part in zip(*(a.reshape(-1, replicas) for a in runs))
+    ]
     death_mean = sum(est.estimate for est in deaths)
     death_var = sum(est.se**2 for est in deaths)
 

@@ -40,6 +40,9 @@ class RandomStream:
     freely without changing what a later draw sees.
     """
 
+    # Refill blocks start small and double: a coupled replica reads a few
+    # dozen uniforms, so a first block of _BLOCK would be mostly waste.
+    _FIRST_BLOCK = 64
     _BLOCK = 4096
 
     def __init__(self, master_seed: int, index: int = 0):
@@ -52,8 +55,16 @@ class RandomStream:
         self._buf = np.empty(0)
         self._pos = 0
 
+    def _next_block(self) -> int:
+        return min(max(2 * self._buf.shape[0], self._FIRST_BLOCK), self._BLOCK)
+
     def _refill(self) -> None:
-        self._buf = self._gen.random(self._BLOCK)
+        self._buf = self._gen.random(self._next_block())
+        self._pos = 0
+
+    def _unread(self, values: np.ndarray) -> None:
+        """Put values read ahead from this stream back at its head."""
+        self._buf = np.concatenate([values, self._buf[self._pos :]])
         self._pos = 0
 
     def uniform(self) -> float:
@@ -79,7 +90,7 @@ class RandomStream:
             out[:take] = self._buf[self._pos : self._pos + take]
             self._pos += take
         rest = n - take
-        if rest >= self._BLOCK:
+        if rest and rest >= self._next_block():
             out[take:] = self._gen.random(rest)
         elif rest:
             self._refill()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from condpp import coupling
 from condpp.coupling import (
     ConstantTestFunction,
     CountTestFunction,
@@ -25,6 +26,7 @@ from condpp.groundspace import (
     configuration_from_locations,
     derive_stream,
     empty_configuration,
+    unit_cube,
     unit_interval,
 )
 from condpp.metrics import d1_bar
@@ -35,6 +37,11 @@ from oracles import count_chain_h
 
 def count_f_rule(j):
     return min(1.0, j / 10.0)
+
+
+def log_rule(j):
+    # increments log(1 + 1/(j+1)) <= 1/(j+1); never saturates
+    return math.log1p(j)
 
 
 def make_xi(lam, size, seed=0):
@@ -170,6 +177,22 @@ class TestCoupledRunMechanics:
         states, law = transient_count_law(lam, m, start, t, top=60)
         freq = np.bincount(finals, minlength=states[-1] + 1)[m:] / finals.size
         assert 0.5 * np.abs(freq - law).sum() < 0.02
+
+    @pytest.mark.parametrize("dim,horizon", [(1, None), (1, 0.7), (2, None)])
+    def test_run_leaves_its_stream_after_its_last_draw(self, dim, horizon):
+        # A run reads its stream ahead in blocks; the uniforms it did not use
+        # must be the next ones the stream hands out.
+        space = unit_cube(3.0, dim)
+        xi = configuration_from_locations(space.sample(derive_stream(9, 0), 2))
+        stream = derive_stream(12, dim)
+        run = simulate_coupled_pair(xi, np.full(dim, 0.5), 1, space, stream, horizon=horizon)
+        seen = [set().union(*(c.tags for c in s.configurations)) for s in run.states]
+        arrivals = sum(1 for a, b in zip(seen, seen[1:]) if b - a)
+        # holding time and event type, then a location or a victim uniform;
+        # a horizon also takes the holding time that overshoots it
+        used = 2 * run.events + dim * arrivals + (run.events - arrivals) + (horizon is not None)
+        want = derive_stream(12, dim).uniforms(used + 5)[used:]
+        np.testing.assert_array_equal(stream.uniforms(5), want)
 
     def test_floor_validation(self):
         space = unit_interval(2.0)
@@ -400,12 +423,13 @@ class TestPSurvival:
 
 
 class TestDrawOrderPinned:
-    """Small-replica results pinned to values recorded before the estimators
-    shared one replica loop.
+    """Small-replica results pinned to values recorded with the scalar
+    per-replica event loop, before replicas ran as one batch.
 
     Every estimate is a fixed function of the uniforms each replica draws, so
     a change in the order of draws moves these numbers.  The relative
-    tolerance only absorbs log1p rounding differences between platforms.
+    tolerance only absorbs log1p rounding differences (math.log1p against
+    numpy's, or between platforms).
     """
 
     REL = 1e-9
@@ -477,3 +501,62 @@ class TestDrawOrderPinned:
             assert row["estimate"] == pytest.approx(estimate, rel=self.REL)
             assert row["se"] == pytest.approx(se, rel=self.REL)
             assert row["capped"] == 0
+
+    def test_batch_split_does_not_change_results(self, monkeypatch):
+        # Replicas run in batches of bounded size; every replica reads only
+        # its own stream, so where the batches split must not matter.
+        xi, a, b, space, f = self.xi, self.a, self.b, self.space, self.f
+        calls = (
+            lambda: stein_residual(f, xi, 1, space, 30, 15),
+            lambda: estimate_h(reference_test_functions(space)[2], xi, 1, space, 12, 18),
+            lambda: estimate_delta2_h(f, xi, a, b, 1, space, 40, 13),
+        )
+        whole = [call() for call in calls]
+        monkeypatch.setattr(coupling, "_BATCH_ROWS", 7)
+        assert [call() for call in calls] == whole
+
+    def test_recorded_triple_to_a_horizon(self):
+        run = simulate_domination_triple(self.xi, 2, 4.0, self.space, derive_stream(32, 0))
+        assert (run.events, run.final_counts, run.elapsed) == (29, (2, 0, 0), 4.0)
+        assert run.coalescence_time is None and not run.capped
+        sizes = [tuple(c.size for c in state.configurations) for state in run.states]
+        assert sizes == [
+            (2, 2, 0), (2, 1, 0), (3, 2, 1), (4, 3, 2), (5, 4, 3), (4, 3, 2),
+            (5, 4, 3), (6, 5, 4), (7, 6, 5), (8, 7, 6), (7, 6, 5), (8, 7, 6),
+            (9, 8, 7), (8, 7, 6), (7, 7, 6), (6, 6, 5), (5, 5, 4), (4, 4, 3),
+            (3, 3, 2), (4, 4, 3), (3, 3, 2), (2, 2, 1), (2, 1, 1), (2, 1, 1),
+            (2, 0, 0), (3, 1, 1), (2, 1, 1), (2, 0, 0), (3, 1, 1), (2, 0, 0),
+        ]
+        assert [c.tags for c in run.states[-1].configurations] == [(0, 12), (), ()]
+
+    def test_matching_functional_estimators(self):
+        xi, a, b, space = self.xi, self.a, self.b, self.space
+        matching = reference_test_functions(space)[2]
+        self.check(
+            estimate_delta2_h(matching, xi, a, b, 1, space, 12, 17),
+            -0.0015879686751862885, 0.0011876797578007664,
+        )
+        self.check(
+            estimate_h(matching, xi, 1, space, 12, 18),
+            -0.1590782518876219, 0.05533057942713741,
+        )
+
+    def test_large_live_sets(self):
+        # At lambda = 40 a replica holds up to 40 identities and reads up to
+        # about 600 uniforms: past the engine's first live-set width (21 + 8)
+        # and its first block of 64 uniforms, and past the stream's first refill.
+        space = unit_interval(40.0)
+        xi = configuration_from_locations(space.sample(derive_stream(5, 124), 20))
+        f = CountTestFunction(log_rule)
+        self.check(
+            estimate_delta_h(f, xi, self.a, 1, space, 8, 19),
+            -0.03473445918576326, 0.010612817889900381,
+        )
+        self.check(
+            estimate_h(f, xi, 1, space, 8, 20),
+            0.5132096392505713, 0.10691902359445601,
+        )
+        self.check(
+            estimate_delta_h(reference_test_functions(space)[2], xi, self.a, 1, space, 6, 21),
+            -0.004366943355158124, 0.0007765547212551318,
+        )

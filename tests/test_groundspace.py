@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,33 @@ class TestRandomStream:
         assert head == expect[:5]
         np.testing.assert_array_equal(bulk, np.asarray(expect[5:10005]))
         assert tail == expect[10005:]
+
+    def test_mixed_draws_across_block_boundaries(self):
+        # Refill blocks grow from small to full size; every kind of draw must
+        # still read the generator's raw output in order, across each boundary.
+        n = 20_000
+        want = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(8, spawn_key=(3,)))
+        ).random(n)
+        s = derive_stream(8, 3)
+        got = []
+        sizes = [1, 7, 63, 2, 130, 500, 1, 4095, 4097, 3, 9000]
+        kind = 0
+        while len(got) < n:
+            kind = (kind + 1) % 4
+            i = len(got)
+            if kind == 0:
+                got.append(s.uniform())
+            elif kind == 1:
+                k = min(sizes[i % len(sizes)], n - i)
+                got.extend(s.uniforms(k))
+            elif kind == 2:
+                assert s.exponential(2.0) == -math.log1p(-want[i]) / 2.0
+                got.append(want[i])
+            else:
+                assert s.integer(13) == min(int(want[i] * 13), 12)
+                got.append(want[i])
+        np.testing.assert_array_equal(np.asarray(got), want)
 
     def test_same_seed_same_index_is_deterministic(self):
         a = derive_stream(42, 0)
