@@ -35,7 +35,7 @@ import numpy as np
 
 from .bounds import poisson_pmf, poisson_tail, poisson_tail_ratio
 from .estimates import MCEstimate
-from .groundspace import Configuration, GroundSpace, RandomStream, derive_stream
+from .groundspace import Configuration, GroundSpace, RandomStream, _Drawn, derive_stream
 from .metrics import _d1_locs
 from .simulate import sample_conditional_poisson
 
@@ -190,18 +190,6 @@ class CoupledRun:
     capped: bool
     final_counts: tuple[int, ...]
     states: tuple[CoupledState, ...] | None = None
-
-
-@dataclass(frozen=True)
-class _Drawn:
-    """Stream stand-in that hands one step's location uniforms to a sampler."""
-
-    u: np.ndarray
-
-    def uniforms(self, n: int) -> np.ndarray:
-        if n != self.u.size:
-            raise ValueError("coupled chains need a sampler reading `dimension` uniforms a point")
-        return self.u
 
 
 def _start(initial, floors, dim: int) -> tuple[list, list, list]:
@@ -669,7 +657,8 @@ def stein_residual(
     )
     residual = lam * imm.estimate - death_mean - (f(base) - pi_est.estimate)
     se = math.sqrt((lam * imm.se) ** 2 + death_var + pi_est.se**2)
-    capped = imm.capped + sum(est.capped for est in deaths)
+    # A replica is capped when any of its component runs is.
+    capped = int(runs[1].reshape(-1, replicas).any(axis=0).sum())
     return MCEstimate(
         estimate=residual, se=se, replicas=replicas, seed=seed, capped=capped
     )

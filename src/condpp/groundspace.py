@@ -127,7 +127,12 @@ class GroundSpace:
         metric: d0(x, y) for single points, valued in [0, 1].
         pairwise: vectorized d0 on (n, dim) x (m, dim) arrays -> (n, m).
         sampler: (stream, size) -> (size, dim) array of points drawn from the
-            normalized intensity measure, consuming stream uniforms in order.
+            normalized intensity measure.  It reads `dimension` uniforms a
+            point with one stream.uniforms(size * dimension) call, point i
+            from the i-th run of `dimension` of them.  The chain and the
+            coupled engine read location uniforms ahead and hand a sampler
+            exactly that many; one that asks for another number raises
+            ValueError.
         contains: membership test for a single point.
         label: short human-readable name used in artifacts.
     """
@@ -164,6 +169,18 @@ class GroundSpace:
 
     def sample_one(self, stream: RandomStream) -> np.ndarray:
         return self.sample(stream, 1)[0]
+
+
+@dataclass(frozen=True)
+class _Drawn:
+    """Stream stand-in that hands uniforms already read to a sampler."""
+
+    u: np.ndarray
+
+    def uniforms(self, n: int) -> np.ndarray:
+        if n != self.u.size:
+            raise ValueError("the sampler must read `dimension` uniforms a point")
+        return self.u
 
 
 def _truncated_euclidean(x: np.ndarray, y: np.ndarray) -> float:

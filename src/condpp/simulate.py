@@ -10,7 +10,10 @@ to m) leaves Po^(m) invariant and is the engine behind every estimator here.
 Draw discipline is fixed so runs are reproducible from the stream alone:
 each chain event consumes a holding-time uniform, then a type uniform, then
 either the location draws (immigration) or one victim-index uniform (death).
-The type uniform is consumed even when the floor forces immigration.
+The type uniform is consumed even when the floor forces immigration.  The
+chain reads its stream in blocks, gives back what it did not use, and places
+all its immigrants with one sampler call after the run, so the stream and
+the locations are those of reading one event at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import poisson_pmf, poisson_tail
-from .groundspace import Configuration, GroundSpace, RandomStream
+from .groundspace import Configuration, GroundSpace, RandomStream, _Drawn
 
 __all__ = [
     "BudgetError",
@@ -239,20 +242,19 @@ class Trajectory:
     def configuration_at(self, t: float) -> Configuration:
         if not 0.0 <= t <= self.horizon:
             raise ValueError("t outside [0, horizon]")
-        tags = list(self.initial.tags)
+        # Live points by tag, in order of arrival; tags are never reused.
         locs = {tag: tuple(loc) for tag, loc in zip(self.initial.tags, self.initial.locations)}
         for time, kind, tag, loc in self.events:
             if time > t:
                 break
             if kind == "immigration":
-                tags.append(tag)
                 locs[tag] = loc
             else:
-                tags.remove(tag)
-        arr = np.array([locs[tag] for tag in tags], dtype=float).reshape(
-            len(tags), self.initial.dimension
+                del locs[tag]
+        arr = np.array(list(locs.values()), dtype=float).reshape(
+            len(locs), self.initial.dimension
         )
-        return Configuration(tuple(tags), arr)
+        return Configuration(tuple(locs), arr)
 
     def final_configuration(self) -> Configuration:
         return self.configuration_at(self.horizon)
@@ -281,25 +283,38 @@ def simulate_cid_chain(
         raise ValueError("horizon must be positive and finite")
     lam = _check_space_lam(space)
 
+    dim = space.dimension
     tags = list(initial.tags)
     next_tag = max(tags, default=-1) + 1
     events: list[tuple[float, str, int, tuple | None]] = []
+    arrivals: list[int] = []  # positions of immigrations in events
+    drawn: list[float] = []  # their location uniforms, dim each
     t = 0.0
-    uniform = stream.uniform
-    sample_one = space.sample_one
+    u, i, block = [], 0, RandomStream._FIRST_BLOCK
     log1p = math.log1p
     while True:
+        while i + 2 + dim > len(u):  # an event reads at most 2 + dim uniforms
+            u = u[i:] + stream.uniforms(block).tolist()
+            i, block = 0, min(2 * block, RandomStream._BLOCK)
         count = len(tags)
         rate = lam + (count if count > m else 0)
-        t += -log1p(-uniform()) / rate
+        t += -log1p(-u[i]) / rate
         if t >= horizon:
+            i += 1
             break
-        if uniform() * rate < lam:
-            loc = sample_one(stream)
+        if u[i + 1] * rate < lam:
+            arrivals.append(len(events))
+            events.append((t, "immigration", next_tag, None))
+            drawn += u[i + 2 : i + 2 + dim]
             tags.append(next_tag)
-            events.append((t, "immigration", next_tag, tuple(loc)))
             next_tag += 1
+            i += 2 + dim
         else:
-            victim = min(int(uniform() * count), count - 1)
+            victim = min(int(u[i + 2] * count), count - 1)
             events.append((t, "death", tags.pop(victim), None))
+            i += 3
+    stream._unread(np.array(u[i:]))
+    places = space.sample(_Drawn(np.array(drawn)), len(arrivals))
+    for at, loc in zip(arrivals, zip(*places.T)):
+        events[at] = events[at][:3] + (loc,)
     return Trajectory(initial=initial, horizon=float(horizon), m=int(m), events=tuple(events))

@@ -131,3 +131,29 @@ def transient_count_law(lam, m, start, t, top=260):
     p0 = np.zeros(n)
     p0[start - m] = 1.0
     return states, p0 @ expm(A * t)
+
+
+def cid_chain_events(tags, m, horizon, lam, stream, sample):
+    """Events of the conditional immigration-death chain, one draw at a time.
+
+    Per event: a holding-time uniform, a type uniform, then either one point
+    from sample(stream, 1) or a victim-index uniform.  Deaths are suppressed
+    at the floor m.  The simulator must match this loop event for event and
+    leave its stream where this loop leaves it.
+    """
+    tags = list(tags)
+    next_tag = max(tags, default=-1) + 1
+    events, t = [], 0.0
+    while True:
+        count = len(tags)
+        rate = lam + (count if count > m else 0)
+        t += -math.log1p(-stream.uniform()) / rate
+        if t >= horizon:
+            return events
+        if stream.uniform() * rate < lam:
+            events.append((t, "immigration", next_tag, tuple(sample(stream, 1)[0])))
+            tags.append(next_tag)
+            next_tag += 1
+        else:
+            victim = min(int(stream.uniform() * count), count - 1)
+            events.append((t, "death", tags.pop(victim), None))

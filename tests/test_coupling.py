@@ -352,6 +352,16 @@ class TestSteinResidual:
         est = stein_residual(f, xi, 1, space, replicas=3000, seed=81)
         assert abs(est.estimate) < 4.0 * est.se
 
+    def test_capped_counts_replicas_not_component_runs(self):
+        # A replica is capped when any of its 1 + |xi| component runs is, so
+        # the count never exceeds the replicas and the fraction stays <= 1.
+        space = unit_interval(3.0)
+        xi = make_xi(3.0, 2, seed=20)
+        f = CountTestFunction(count_f_rule)
+        est = stein_residual(f, xi, 1, space, 30, 15, max_events=3)
+        assert 0 < est.capped <= est.replicas
+        assert est.capped_fraction <= 1.0
+
     def test_pi_f_matches_count_law(self):
         space = unit_interval(3.0)
         f = CountTestFunction(count_f_rule)

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from condpp.coupling import run_coupled_chains
 from condpp.groundspace import (
     configuration_from_locations,
     derive_stream,
@@ -27,6 +31,7 @@ from condpp.simulate import (
     simulate_cid_chain,
 )
 from oracles import (
+    cid_chain_events,
     conditional_count_mean_mp,
     conditional_count_pmf_mp,
     transient_count_law,
@@ -194,12 +199,102 @@ class TestBernoulliSampler:
             sample_bernoulli_process(10, 1e-6, 8, derive_stream(2, 0))
 
 
+def _event_digest(traj):
+    """Exact digest of a trajectory's events: times and coordinates in hex."""
+    h = hashlib.sha256()
+    for t, kind, tag, loc in traj.events:
+        where = "-" if loc is None else ",".join(float(x).hex() for x in loc)
+        h.update(f"{float(t).hex()} {kind} {tag} {where};".encode())
+    return h.hexdigest()[:16]
+
+
+def _two_draw_sampler(stream, size):
+    # Reads two uniforms a point, breaking the one-point-per-`dimension` rule.
+    return stream.uniforms(2 * size)[::2].reshape(size, 1)
+
+
 class TestTrajectory:
     def _run(self, seed=0, lam=3.0, m=1, horizon=6.0, init=3):
         space = unit_interval(lam)
         stream = derive_stream(seed, 0)
         initial = configuration_from_locations(space.sample(stream, init))
         return simulate_cid_chain(initial, m, horizon, space, stream), initial
+
+    @pytest.mark.parametrize(
+        "space,seed,init,m,horizon,pins",
+        [
+            # two chains back to back on one stream
+            (unit_interval(5.0), 11, 3, 1, 50.0,
+             [(507, "81c5e3c0fa38299b", 0.8920871851534045),
+              (489, "7012a857b3ad3a3e", 0.22417987385053362)]),
+            # about 9700 uniforms, past the stream's first 4096-uniform block
+            (unit_interval(40.0), 12, 40, 0, 40.0,
+             [(3227, "0d81efb771b88b60", 0.6585729702553943)]),
+            (unit_cube(3.0, dimension=2), 13, 2, 1, 30.0,
+             [(167, "dddd1a83271708e1", 0.8250954333234481)]),
+        ],
+        ids=["line-two-chains", "line-past-a-block", "square"],
+    )
+    def test_draw_order_pinned(self, space, seed, init, m, horizon, pins):
+        # Recorded with the per-event scalar loop: event lists, and the
+        # uniform the shared stream hands out after each chain.
+        stream = derive_stream(seed, 0)
+        initial = configuration_from_locations(space.sample(stream, init))
+        for events, digest, after in pins:
+            traj = simulate_cid_chain(initial, m, horizon, space, stream)
+            assert (len(traj.events), _event_digest(traj)) == (events, digest)
+            assert stream.uniform() == after
+            assert all(
+                type(x) is np.float64 for e in traj.events if e[3] is not None for x in e[3]
+            )
+
+    # 70: one location needs more uniforms than the chain's first block
+    @pytest.mark.parametrize("dim", [1, 2, 3, 70])
+    def test_matches_the_one_event_at_a_time_loop(self, dim):
+        for lam, m in itertools.product((0.3, 3.0, 40.0), (0, 2)):
+            space = unit_cube(lam, dim)
+            stream, ref = derive_stream(70 + dim, m), derive_stream(70 + dim, m)
+            initial = configuration_from_locations(space.sample(stream, m + 1))
+            space.sample(ref, m + 1)
+            for horizon in (7.0, 19.0):
+                traj = simulate_cid_chain(initial, m, horizon, space, stream)
+                want = cid_chain_events(initial.tags, m, horizon, lam, ref, space.sample)
+                assert list(traj.events) == want
+                assert stream.uniform() == ref.uniform()
+
+    def test_sampler_must_read_dimension_uniforms_a_point(self):
+        space = dataclasses.replace(unit_interval(2.0), sampler=_two_draw_sampler)
+        xi = configuration_from_locations([[0.5]])
+        with pytest.raises(ValueError, match="uniforms a point"):
+            simulate_cid_chain(xi, 0, 5.0, space, derive_stream(3, 0))
+        with pytest.raises(ValueError, match="uniforms a point"):
+            run_coupled_chains(
+                [xi, xi], [0, 0], space, derive_stream(3, 0), horizon=5.0,
+                stop_on_coalescence=False, record=True,
+            )
+
+    @pytest.mark.parametrize("dim,seed", [(1, 14), (2, 15)])
+    def test_configuration_at_matches_a_plain_replay(self, dim, seed):
+        space = unit_cube(4.0, dimension=dim)
+        stream = derive_stream(seed, 0)
+        initial = configuration_from_locations(space.sample(stream, 3))
+        traj = simulate_cid_chain(initial, 1, 8.0, space, stream)
+        times = [e[0] for e in traj.events]
+        for t in (0.0, times[0], times[len(times) // 2], 3.3, times[-1], traj.horizon):
+            tags = list(initial.tags)
+            locs = dict(zip(initial.tags, map(tuple, initial.locations)))
+            for time, kind, tag, loc in traj.events:
+                if time > t:
+                    break
+                if kind == "immigration":
+                    tags.append(tag)
+                    locs[tag] = loc
+                else:
+                    tags.remove(tag)
+            cfg = traj.configuration_at(t)
+            assert cfg.tags == tuple(tags)
+            want = np.array([locs[g] for g in tags]).reshape(len(tags), dim)
+            np.testing.assert_array_equal(cfg.locations, want)
 
     def test_event_time_and_count_invariants(self):
         traj, initial = self._run(seed=7)
