@@ -36,7 +36,7 @@ import numpy as np
 from .bounds import poisson_pmf, poisson_tail, poisson_tail_ratio
 from .estimates import MCEstimate
 from .groundspace import Configuration, GroundSpace, RandomStream, _Drawn, derive_stream
-from .metrics import _d1_locs
+from .metrics import _d1_pair_locs
 from .simulate import sample_conditional_poisson
 
 __all__ = [
@@ -136,10 +136,7 @@ class MatchingDistanceTestFunction(TestFunction):
         self.label = f"d1_to_reference[{reference.size}]"
 
     def from_locations(self, locations: np.ndarray) -> float:
-        ref = self.reference.locations
-        if locations.shape[0] <= ref.shape[0]:
-            return _d1_locs(locations, ref, self.space)
-        return _d1_locs(ref, locations, self.space)
+        return _d1_pair_locs(locations, self.reference.locations, self.space)
 
 
 def _default_count_rule(j: int) -> float:

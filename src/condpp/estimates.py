@@ -23,7 +23,3 @@ class MCEstimate:
     @property
     def capped_fraction(self) -> float:
         return self.capped / self.replicas if self.replicas else 0.0
-
-    def within(self, target: float, k_se: float = 3.0) -> bool:
-        """|estimate - target| <= k_se * se."""
-        return abs(self.estimate - target) <= k_se * self.se

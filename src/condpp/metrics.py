@@ -17,22 +17,17 @@ and all pairs of two given sizes are matched together by a banded DP.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
-from itertools import permutations
 
 import numpy as np
 
 from .groundspace import Configuration, GroundSpace, is_unit_line
-# The solver comes through transport so that scipy.optimize is first imported
-# there, at the depth condpp/__init__.py relies on.
+# The solver comes through transport, the one module that imports
+# scipy.optimize.
 from .transport import linear_sum_assignment, solve_balanced_transport
 
-__all__ = ["d1_bar", "d1_bar_bruteforce", "d2_bar_empirical", "D2Estimate"]
-
-# Brute-force enumeration is n!/(n-m)! work; refuse beyond this size.
-_BRUTE_FORCE_CAP = 8
+__all__ = ["d1_bar", "d2_bar_empirical", "D2Estimate"]
 
 
 def _check_pair(xi: Configuration, eta: Configuration, space: GroundSpace) -> None:
@@ -72,27 +67,6 @@ def d1_bar(xi: Configuration, eta: Configuration, space: GroundSpace) -> float:
     """Normalized minimum-cost matching distance between two configurations."""
     _check_pair(xi, eta, space)
     return _d1_pair_locs(xi.locations, eta.locations, space)
-
-
-def d1_bar_bruteforce(xi: Configuration, eta: Configuration, space: GroundSpace) -> float:
-    """Reference d1_bar by enumerating all injections; sizes capped at 8."""
-    _check_pair(xi, eta, space)
-    if max(xi.size, eta.size) > _BRUTE_FORCE_CAP:
-        raise ValueError(f"brute force capped at size {_BRUTE_FORCE_CAP}")
-    small, large = (xi, eta) if xi.size <= eta.size else (eta, xi)
-    m, n = small.size, large.size
-    if n == 0:
-        return 0.0
-    if m == 0:
-        return 1.0
-    best = math.inf
-    for chosen in permutations(range(n), m):
-        w = math.fsum(
-            space.metric(small.locations[i], large.locations[j])
-            for i, j in enumerate(chosen)
-        )
-        best = min(best, w)
-    return (best + (n - m)) / n
 
 
 @dataclass(frozen=True)

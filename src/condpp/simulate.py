@@ -30,7 +30,6 @@ __all__ = [
     "BudgetError",
     "CountPMF",
     "conditional_count_pmf",
-    "conditional_poisson_count_pmf",
     "count_tv_distance",
     "sample_poisson_process",
     "sample_conditional_poisson",
@@ -79,11 +78,6 @@ class CountPMF:
 
 def conditional_count_pmf(lam: float, m: int) -> CountPMF:
     return CountPMF(lam=float(lam), m=int(m))
-
-
-def conditional_poisson_count_pmf(lam: float, m: int, j: int) -> float:
-    """P(|Po^(m)| = j); zero below the floor."""
-    return conditional_count_pmf(lam, m).pmf(int(j))
 
 
 def count_tv_distance(counts, law: CountPMF) -> float:

@@ -66,7 +66,7 @@ def solve_balanced_transport(costs) -> Matching:
     With uniform marginals an optimal plan is a permutation, so this is the
     square assignment problem; mean_cost of the result is the transport value.
     """
-    arr = check_cost_matrix(costs)
-    if arr.shape[0] != arr.shape[1]:
+    shape = np.shape(costs)
+    if len(shape) == 2 and shape[0] != shape[1]:
         raise ValueError("balanced transport requires a square cost matrix")
-    return solve_assignment(arr)
+    return solve_assignment(costs)

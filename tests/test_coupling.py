@@ -80,6 +80,18 @@ class TestTestFunctions:
             b = configuration_from_locations(space.sample(stream, 1 + stream.integer(5)))
             assert abs(f(a) - f(b)) <= d1_bar(a, b, space) + 1e-12
 
+    @pytest.mark.parametrize(
+        "space", [unit_interval(3.0), unit_cube(3.0, dimension=2)], ids=["line", "square"]
+    )
+    def test_matching_function_is_d1_bar_bit_for_bit(self, space):
+        # configurations the size of the five-point reference are the case
+        # where the operand order is not fixed by the sizes alone
+        f = reference_test_functions(space)[2]
+        stream = derive_stream(14, 0)
+        for _ in range(300):
+            xi = configuration_from_locations(space.sample(stream, 5))
+            assert f(xi) == d1_bar(xi, f.reference, space)
+
     def test_count_function_adjacent_size_gap(self):
         # adding one point moves d1 by at least 1/(j+1), which is exactly
         # the allowed count-rule increment

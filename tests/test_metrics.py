@@ -13,7 +13,7 @@ from condpp.groundspace import (
     unit_cube,
     unit_interval,
 )
-from condpp.metrics import d1_bar, d1_bar_bruteforce, d2_bar_empirical, pairwise_d1_matrix
+from condpp.metrics import d1_bar, d2_bar_empirical, pairwise_d1_matrix
 from oracles import d1_bruteforce
 
 SPACE = unit_interval(3.0)
@@ -98,19 +98,14 @@ class TestD1AgainstBruteForce:
             slow = d1_bruteforce(a.locations, b.locations, SPACE.metric)
             assert fast == pytest.approx(slow, abs=1e-12)
 
-    def test_package_bruteforce_agrees_too(self):
+    def test_unit_square_agrees_too(self):
         stream = derive_stream(5, 0)
         for _ in range(60):
             a = random_config(stream, SPACE2, max_size=5)
             b = random_config(stream, SPACE2, max_size=5)
             assert d1_bar(a, b, SPACE2) == pytest.approx(
-                d1_bar_bruteforce(a, b, SPACE2), abs=1e-12
+                d1_bruteforce(a.locations, b.locations, SPACE2.metric), abs=1e-12
             )
-
-    def test_bruteforce_refuses_large_inputs(self):
-        big = configuration_from_locations([[0.1 * i] for i in range(9)])
-        with pytest.raises(ValueError):
-            d1_bar_bruteforce(big, cfg(0.5), SPACE)
 
 
 class TestD1Axioms:
@@ -164,7 +159,7 @@ class TestPairwiseMatrix:
                 assert mat[i, j] == pytest.approx(d1_bar(p, q, SPACE), abs=1e-12)
                 if max(p.size, q.size) <= 7:
                     assert mat[i, j] == pytest.approx(
-                        d1_bar_bruteforce(p, q, SPACE), abs=1e-12
+                        d1_bruteforce(p.locations, q.locations, SPACE.metric), abs=1e-12
                     )
         np.testing.assert_array_equal(pairwise_d1_matrix(qs, ps, SPACE), mat.T)
         assert np.all(np.diag(pairwise_d1_matrix(ps, ps, SPACE)) == 0.0)

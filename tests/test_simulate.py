@@ -22,7 +22,6 @@ from condpp.simulate import (
     CountPMF,
     bernoulli_site_configuration,
     conditional_count_pmf,
-    conditional_poisson_count_pmf,
     count_tv_distance,
     sample_bernoulli_process,
     sample_binomial_process,
@@ -47,7 +46,7 @@ class TestCountPMF:
             assert law.pmf(j) == pytest.approx(want, rel=1e-12, abs=1e-250)
 
     def test_frozen_value(self):
-        assert conditional_poisson_count_pmf(1.0, 1, 1) == pytest.approx(
+        assert conditional_count_pmf(1.0, 1).pmf(1) == pytest.approx(
             0.5819767068693265, abs=1e-15
         )
 
