@@ -101,12 +101,22 @@ def poisson_tail(lam: float, k: int) -> float:
     return 1.0 - head
 
 
+def _upper_tail_sum(lam: float, k: int) -> float:
+    """T = sum_{i>=1} lam^(i-1) k!/(k+i)!, so F(k) = pmf(k) (1 + lam T) past the mode."""
+    terms = [1.0 / (k + 1)]
+    while terms[-1] > terms[0] * 1e-20:  # k > lam: geometric decrease
+        terms.append(terms[-1] * lam / (k + len(terms) + 1))
+    return math.fsum(terms)
+
+
 def poisson_tail_ratio(lam: float, k: int) -> float:
     """F(k-1)/F(k) for F the upper tail; equals 1 + pmf(k-1)/F(k)."""
     lam = _check_lam(lam)
     k = int(k)
     if k <= 0:
         return 1.0
+    if k > math.ceil(lam):  # F(k) may underflow; pmf(k-1)/F(k) = (k/lam)/(1 + lam T)
+        return 1.0 + k / lam / (1.0 + lam * _upper_tail_sum(lam, k))
     return 1.0 + poisson_pmf(lam, k - 1) / poisson_tail(lam, k)
 
 

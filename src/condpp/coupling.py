@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import poisson_pmf, poisson_tail, poisson_tail_ratio
+from .bounds import _upper_tail_sum, poisson_pmf, poisson_tail, poisson_tail_ratio
 from .estimates import MCEstimate
 from .groundspace import Configuration, GroundSpace, RandomStream, _Drawn, derive_stream
 from .metrics import _d1_pair_locs
@@ -213,11 +213,11 @@ def _run_batch(
     """The engine: row r runs from starts[r] on streams[r], all rows in step.
 
     A location takes `dimension` uniforms, a victim one.  Streams are read
-    ahead in blocks; a batch of one puts the unread rest back.  Tags and
-    locations are kept when a location functional or record needs them, and
-    chains list their identities by tag.  Returns per-row integral, elapsed,
-    events, coalescence time (NaN if none), capped and final counts, plus
-    the states of a recorded batch of one.
+    ahead in blocks; a batch of one steps its stream back over the unread
+    rest.  Tags and locations are kept when a location functional or record
+    needs them, and chains list their identities by tag.  Returns per-row
+    integral, elapsed, events, coalescence time (NaN if none), capped and
+    final counts, plus the states of a recorded batch of one.
     """
     k, rows, dim, lam = len(floors), len(starts), space.dimension, space.total_mass
     full, bits = (1 << k) - 1, np.left_shift(1, np.arange(k, dtype=np.int64))
@@ -338,7 +338,7 @@ def _run_batch(
         if record:
             states.append(snapshot(float(t[0])))
     if rows == 1:
-        streams[0]._unread(U[here[0], pos[0] :])
+        streams[0]._unread(U.shape[1] - pos[0])
     return (*out_F[[1, 0]], out_events, out_F[3], out_capped, out_I[5:].T,
             tuple(states) if record else None)
 
@@ -667,12 +667,16 @@ def p_survival_analytic(lam: float, k: int) -> float:
     Start the chain with k+1 points, one distinguished; run until the count
     first returns to k.  The probability the distinguished point is still
     alive then is 1 - (F(k-1)/F(k) - k/lam) for F the Poisson upper tail;
-    it is bounded by min(k/lam, k/(k+1)) and vanishes at k = 0.
+    it is bounded by min(k/lam, k/(k+1)) and vanishes at k = 0.  Past the
+    mode it is k T/(1 + lam T), T as in bounds, free of that cancellation.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lam must be positive and finite")
+    if k > math.ceil(lam):
+        t = _upper_tail_sum(lam, k)
+        return k * t / (1.0 + lam * t)
     return 1.0 - (poisson_tail_ratio(lam, k) - k / lam)
 
 

@@ -31,7 +31,7 @@ __all__ = [
 
 
 class RandomStream:
-    """Buffered scalar/vector uniform source with a counter-derived state.
+    """Scalar/vector uniform source with a counter-derived state.
 
     Streams with distinct (master_seed, index) pairs are statistically
     independent (PCG64 seeded through SeedSequence spawn keys).  All draws,
@@ -40,11 +40,6 @@ class RandomStream:
     freely without changing what a later draw sees.
     """
 
-    # Refill blocks start small and double: a coupled replica reads a few
-    # dozen uniforms, so a first block of _BLOCK would be mostly waste.
-    _FIRST_BLOCK = 64
-    _BLOCK = 4096
-
     def __init__(self, master_seed: int, index: int = 0):
         if master_seed < 0 or index < 0:
             raise ValueError("master_seed and index must be nonnegative")
@@ -52,51 +47,18 @@ class RandomStream:
         self.index = int(index)
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.index,))
         self._gen = np.random.Generator(np.random.PCG64(seq))
-        self._buf = np.empty(0)
-        self._pos = 0
 
-    def _next_block(self) -> int:
-        return min(max(2 * self._buf.shape[0], self._FIRST_BLOCK), self._BLOCK)
-
-    def _refill(self) -> None:
-        self._buf = self._gen.random(self._next_block())
-        self._pos = 0
-
-    def _unread(self, values: np.ndarray) -> None:
-        """Put values read ahead from this stream back at its head."""
-        self._buf = np.concatenate([values, self._buf[self._pos :]])
-        self._pos = 0
+    def _unread(self, n: int) -> None:
+        """Step back over the last n uniforms; PCG64 advances modulo 2**128."""
+        self._gen.bit_generator.advance(-int(n) % (1 << 128))
 
     def uniform(self) -> float:
         """Next uniform in [0, 1)."""
-        if self._pos >= self._buf.shape[0]:
-            self._refill()
-        u = self._buf[self._pos]
-        self._pos += 1
-        return float(u)
+        return self._gen.random()
 
     def uniforms(self, n: int) -> np.ndarray:
-        """Next n uniforms as an array, same logical sequence as uniform().
-
-        Large requests bypass the buffer: the buffer only ever holds raw
-        generator output consumed in order, so serving the remainder straight
-        from the generator yields the identical logical sequence.
-        """
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        out = np.empty(n)
-        take = min(n, self._buf.shape[0] - self._pos)
-        if take:
-            out[:take] = self._buf[self._pos : self._pos + take]
-            self._pos += take
-        rest = n - take
-        if rest and rest >= self._next_block():
-            out[take:] = self._gen.random(rest)
-        elif rest:
-            self._refill()
-            out[take:] = self._buf[:rest]
-            self._pos = rest
-        return out
+        """Next n uniforms as an array, same logical sequence as uniform()."""
+        return self._gen.random(n)
 
     def exponential(self, rate: float) -> float:
         """Exponential holding time with the given rate; one uniform consumed."""

@@ -11,9 +11,9 @@ Draw discipline is fixed so runs are reproducible from the stream alone:
 each chain event consumes a holding-time uniform, then a type uniform, then
 either the location draws (immigration) or one victim-index uniform (death).
 The type uniform is consumed even when the floor forces immigration.  The
-chain reads its stream in blocks, gives back what it did not use, and places
-all its immigrants with one sampler call after the run, so the stream and
-the locations are those of reading one event at a time.
+chain reads its stream in blocks, steps the stream back over what it did not
+use, and places all its immigrants with one sampler call after the run, so
+the stream and the locations are those of reading one event at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ _MIN_ACCEPTANCE = 1e-6
 
 # Poisson count inversion walks at most this far past the mean.
 _COUNT_WALK_SLACK = 60.0
+
+# Chain blocks start small and double: a short run reads a few dozen
+# uniforms, so a first block of _BLOCK would be mostly waste.
+_FIRST_BLOCK = 64
+_BLOCK = 4096
 
 
 class BudgetError(RuntimeError):
@@ -284,12 +289,12 @@ def simulate_cid_chain(
     arrivals: list[int] = []  # positions of immigrations in events
     drawn: list[float] = []  # their location uniforms, dim each
     t = 0.0
-    u, i, block = [], 0, RandomStream._FIRST_BLOCK
+    u, i, block = [], 0, _FIRST_BLOCK
     log1p = math.log1p
     while True:
         while i + 2 + dim > len(u):  # an event reads at most 2 + dim uniforms
             u = u[i:] + stream.uniforms(block).tolist()
-            i, block = 0, min(2 * block, RandomStream._BLOCK)
+            i, block = 0, min(2 * block, _BLOCK)
         count = len(tags)
         rate = lam + (count if count > m else 0)
         t += -log1p(-u[i]) / rate
@@ -307,7 +312,7 @@ def simulate_cid_chain(
             victim = min(int(u[i + 2] * count), count - 1)
             events.append((t, "death", tags.pop(victim), None))
             i += 3
-    stream._unread(np.array(u[i:]))
+    stream._unread(len(u) - i)
     places = space.sample(_Drawn(np.array(drawn)), len(arrivals))
     for at, loc in zip(arrivals, zip(*places.T)):
         events[at] = events[at][:3] + (loc,)

@@ -105,14 +105,13 @@ def verify_stein(
     residual is a pure Monte Carlo null check.  sizes defaults to
     (m, m + 1, m + 3): the floor, one point above it and three above it.
     """
-    if sizes is None:
-        sizes = (m, m + 1, m + 3)
+    sizes = (m, m + 1, m + 3) if sizes is None else tuple(sizes)
+    if any(size < m for size in sizes):
+        raise ValueError("sizes must sit at or above the floor m")
     space = unit_interval(lam)
     f = reference_test_functions(space)[3]
     rows = []
     for i, size in enumerate(sizes):
-        if size < m:
-            raise ValueError("sizes must sit at or above the floor m")
         xi = _fixed_size_configuration(size, space, derive_stream(seed, 900_000 + i))
         est = stein_residual(f, xi, m, space, replicas, seed + 1000 * (i + 1))
         ok = (
@@ -214,6 +213,8 @@ def verify_delta_bounds(
         raise ValueError("delta-bounds battery requires m >= 1")
     if n_scenarios < 0:
         raise ValueError("delta-bounds battery requires n_scenarios >= 0")
+    if any(off < 0 for off in nonuniform_offsets):
+        raise ValueError("delta-bounds battery requires nonuniform_offsets >= 0")
     units = [("uniform", lam, m, replicas, seed, s) for s in range(n_scenarios)]
     units += [("nonuniform", lam, m, replicas, seed, m + off) for off in nonuniform_offsets]
     if workers > 1:

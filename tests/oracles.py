@@ -29,6 +29,19 @@ def poisson_tail_mp(lam, m):
     return mpmath.gammainc(m, 0, mpmath.mpf(lam), regularized=True)
 
 
+def p_survival_mp(lam, k):
+    """1 - (F(k-1)/F(k) - k/lam) for F the Poisson upper tail.
+
+    The difference cancels about log10(k/lam) digits, so the working
+    precision grows with k/lam: at lam = 1e-300 it takes some 300 digits.
+    """
+    lam = mpmath.mpf(lam)
+    digits = mpmath.mp.dps + max(0, int(mpmath.log10(k / lam)))
+    with mpmath.workdps(digits):
+        ratio = poisson_tail_mp(lam, k - 1) / poisson_tail_mp(lam, k)
+        return +(1 - (ratio - k / lam))
+
+
 def conditional_count_pmf_mp(lam, m, j):
     """Pmf of Poisson(lam) conditioned on being >= m, at point j."""
     if j < m:

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +7,12 @@ from hypothesis import strategies as st
 
 from condpp import bounds
 from condpp.coupling import p_survival_analytic
-from oracles import poisson_tail_mp
+from oracles import p_survival_mp, poisson_tail_mp
 
 LAM_GRID = [0.1, 0.5, 1.0, 1.76, 2.0, 5.0, 10.0, 25.0, 50.0]
+
+# (lam, k) where the Poisson tail at k underflows or 1 - (R - k/lam) cancels.
+FAR_PAST_MODE = [(0.5, 200), (0.001, 5), (1e-300, 2)]
 
 
 class TestTail:
@@ -21,9 +23,13 @@ class TestTail:
         want = float(poisson_tail_mp(lam, k))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
-    @pytest.mark.parametrize("lam", [0.5, 3.0, 10.0])
-    def test_tail_ratio_matches_high_precision(self, lam):
-        for k in range(1, 30):
+    @pytest.mark.parametrize(
+        "lam, ks",
+        [pytest.param(lam, range(1, 30), id=str(lam)) for lam in (0.5, 3.0, 10.0)]
+        + [pytest.param(lam, [k], id=f"{lam}-k{k}") for lam, k in FAR_PAST_MODE],
+    )
+    def test_tail_ratio_matches_high_precision(self, lam, ks):
+        for k in ks:
             got = bounds.poisson_tail_ratio(lam, k)
             want = float(poisson_tail_mp(lam, k - 1) / poisson_tail_mp(lam, k))
             assert got == pytest.approx(want, rel=1e-13)
@@ -199,12 +205,11 @@ class TestPSurvival:
         assert 0.0 <= p <= min(k / lam, k / (k + 1)) + 1e-15
 
     def test_matches_tail_ratio_identity(self):
-        # p = 1 - (tail(k-1)/tail(k) - k/lam), with tails at 50 digits
-        for lam in (0.5, 2.0, 7.0):
-            for k in range(1, 12):
-                ratio = poisson_tail_mp(lam, k - 1) / poisson_tail_mp(lam, k)
-                want = float(1 - (ratio - mpmath.mpf(k) / lam))
-                assert p_survival_analytic(lam, k) == pytest.approx(want, abs=1e-13)
+        # p = 1 - (tail(k-1)/tail(k) - k/lam), with the tails at enough digits
+        grid = [(lam, k) for lam in (0.5, 2.0, 7.0) for k in range(1, 12)]
+        for lam, k in grid + FAR_PAST_MODE:
+            want = float(p_survival_mp(lam, k))
+            assert p_survival_analytic(lam, k) == pytest.approx(want, abs=1e-13)
 
 
 class TestSteinBoundsBundle:

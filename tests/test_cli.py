@@ -209,6 +209,14 @@ class TestVerify:
         assert lines[0].split(",")[0] == "scenario"
         assert len(lines) == 4  # header + three k values
 
+    def test_p_survival_far_past_the_mode_reports(self, capsys):
+        # The Poisson tail at k = 5 underflows at this lambda; the closed form
+        # must still give a row, not a ZeroDivisionError.
+        code = run_cli("verify", "p-survival", "--lambda", "1e-70", "--replicas", "100")
+        assert code in (0, 2)
+        obj = json.loads(capsys.readouterr().out)
+        assert [r["k"] for r in obj["rows"]] == [1, 2, 5]
+
     def test_failing_battery_exits_two(self, capsys, monkeypatch):
         def fake(**kwargs):
             return {

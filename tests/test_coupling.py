@@ -566,7 +566,7 @@ class TestDrawOrderPinned:
     def test_large_live_sets(self):
         # At lambda = 40 a replica holds up to 40 identities and reads up to
         # about 600 uniforms: past the engine's first live-set width (21 + 8)
-        # and its first block of 64 uniforms, and past the stream's first refill.
+        # and past its first block of 64 uniforms.
         space = unit_interval(40.0)
         xi = configuration_from_locations(space.sample(derive_stream(5, 124), 20))
         f = CountTestFunction(log_rule)

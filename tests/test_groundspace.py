@@ -40,7 +40,7 @@ class TestRandomStream:
         assert list(s.uniforms(8)) == GOLDEN_42_7
 
     def test_large_block_continues_logical_sequence(self):
-        # the bulk path must produce the same numbers as scalar draws
+        # a large block must produce the same numbers as scalar draws
         a = derive_stream(3, 0)
         b = derive_stream(3, 0)
         head = [a.uniform() for _ in range(5)]
@@ -52,8 +52,8 @@ class TestRandomStream:
         assert tail == expect[10005:]
 
     def test_mixed_draws_across_block_boundaries(self):
-        # Refill blocks grow from small to full size; every kind of draw must
-        # still read the generator's raw output in order, across each boundary.
+        # Every kind of draw, at any mix of block sizes, must read the
+        # generator's raw output in order.
         n = 20_000
         want = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(8, spawn_key=(3,)))
@@ -77,6 +77,25 @@ class TestRandomStream:
                 assert s.integer(13) == min(int(want[i] * 13), 12)
                 got.append(want[i])
         np.testing.assert_array_equal(np.asarray(got), want)
+
+    @pytest.mark.parametrize(
+        "back", [0, 1, 63, 4097, np.int64(100)], ids=["0", "1", "63", "4097", "int64"]
+    )
+    def test_unread_steps_back_over_the_last_reads(self, back):
+        want = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(8, spawn_key=(3,)))
+        ).random(20_000)
+        s = derive_stream(8, 3)
+        got = [s.uniform() for _ in range(5)]
+        got.extend(s.uniforms(4200))
+        got.append(s.uniform())
+        got.extend(s.uniforms(37))
+        read = len(got)
+        np.testing.assert_array_equal(np.asarray(got), want[:read])
+        s._unread(back)
+        at = read - int(back)
+        assert s.uniform() == want[at]
+        np.testing.assert_array_equal(s.uniforms(500), want[at + 1 : at + 501])
 
     def test_same_seed_same_index_is_deterministic(self):
         a = derive_stream(42, 0)

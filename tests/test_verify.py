@@ -3,6 +3,10 @@ import pytest
 from condpp import verify
 
 
+def _must_not_run(*args, **kwargs):
+    pytest.fail("an estimate ran before the arguments were checked")
+
+
 class TestPSurvivalBattery:
     def test_small_battery_passes(self):
         report = verify.verify_p_survival(
@@ -44,9 +48,11 @@ class TestSteinBattery:
             assert row["capped"] == 0
             assert row["f"]
 
-    def test_size_below_floor_rejected(self):
-        with pytest.raises(ValueError):
-            verify.verify_stein(lam=2.0, m=2, sizes=(1,), replicas=500)
+    def test_size_below_floor_rejected(self, monkeypatch):
+        # before any row runs, not when the loop reaches the bad size
+        monkeypatch.setattr(verify, "stein_residual", _must_not_run)
+        with pytest.raises(ValueError, match="floor"):
+            verify.verify_stein(lam=2.0, m=2, sizes=(2, 3, 1), replicas=500)
 
 
 class TestDeltaBoundsBattery:
@@ -80,3 +86,10 @@ class TestDeltaBoundsBattery:
     def test_negative_scenario_count_rejected(self):
         with pytest.raises(ValueError, match="n_scenarios"):
             verify.verify_delta_bounds(lam=3.0, m=1, n_scenarios=-4, replicas=20)
+
+    def test_negative_offset_rejected_before_any_unit_runs(self, monkeypatch):
+        monkeypatch.setattr(verify, "estimate_delta_h", _must_not_run)
+        with pytest.raises(ValueError, match="nonuniform_offsets"):
+            verify.verify_delta_bounds(
+                lam=3.0, m=1, n_scenarios=2, replicas=20, nonuniform_offsets=(0, -1)
+            )
