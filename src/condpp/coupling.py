@@ -12,11 +12,13 @@ is absorbing, and chains ordered by inclusion stay ordered, which gives the
 pathwise domination used by the tests.
 
 The engine runs all replicas of an estimate as one numpy batch, one event a
-step.  Each replica reads its own derived stream in a fixed order (holding
-time, event type, then a location or a victim) and draws victims from its
-own live list of chain-membership bitmasks, kept in swap-remove order, so
-its path does not depend on the batch it runs in; run_coupled_chains is a
-batch of one.  Each replica integrates a contrast of a test function:
+step.  Each replica reads its own derived stream, a row of the batch's
+StreamFamily, in a fixed order (holding time, event type, then a location
+or a victim) and draws victims from its own live list of chain-membership
+bitmasks, kept in swap-remove order, so its path does not depend on the
+batch it runs in; run_coupled_chains is a batch of one, a family of one
+row that reads on from the caller's stream.  Each replica integrates a
+contrast of a test function:
   delta_h      -mean int f(Z_{xi+a}) - f(Z_xi) dt            (2 chains)
   delta2_h     -mean int f(Z_{xi+a+b}) - f(Z_{xi+a}) - ...   (4 chains)
   h            -mean int f(Z_xi) - f(Z_W) dt, W stationary   (2 chains)
@@ -35,7 +37,9 @@ import numpy as np
 
 from .bounds import _upper_tail_sum, poisson_pmf, poisson_tail, poisson_tail_ratio
 from .estimates import MCEstimate
-from .groundspace import Configuration, GroundSpace, RandomStream, _Drawn, derive_stream
+from .groundspace import (
+    Configuration, GroundSpace, RandomStream, StreamFamily, _Drawn, derive_stream,
+)
 from .metrics import _d1_pair_locs
 from .simulate import sample_conditional_poisson
 
@@ -207,17 +211,19 @@ def _start(initial, floors, dim: int) -> tuple[list, list, list]:
 
 
 def _run_batch(
-    starts, streams, floors, space, coefficients, f, *,
+    starts, family, floors, space, coefficients, f, *,
     horizon=None, stop_on_coalescence=True, max_events, record=False,
 ):
-    """The engine: row r runs from starts[r] on streams[r], all rows in step.
+    """The engine: row r runs from starts[r] on row r of the stream family,
+    all rows in step.
 
-    A location takes `dimension` uniforms, a victim one.  Streams are read
-    ahead in blocks; a batch of one steps its stream back over the unread
-    rest.  Tags and locations are kept when a location functional or record
-    needs them, and chains list their identities by tag.  Returns per-row
-    integral, elapsed, events, coalescence time (NaN if none), capped and
-    final counts, plus the states of a recorded batch of one.
+    A location takes `dimension` uniforms, a victim one.  Rows are read
+    ahead in blocks, starting from the family's head; a batch of one steps
+    its row back over the unread rest.  Tags and locations are kept when a
+    location functional or record needs them, and chains list their
+    identities by tag.  Returns per-row integral, elapsed, events,
+    coalescence time (NaN if none), capped and final counts, plus the
+    states of a recorded batch of one.
     """
     k, rows, dim, lam = len(floors), len(starts), space.dimension, space.total_mass
     full, bits = (1 << k) - 1, np.left_shift(1, np.arange(k, dtype=np.int64))
@@ -237,6 +243,7 @@ def _run_batch(
     views = lambda: (*F[:4], F[4:], *I[:5], I[5:])
     t, integral, phi, tau, fvals, pos, nlive, born, row_id, here, counts = views()
     nlive[:], tau[:] = [len(b[0]) for b in begun], np.nan
+    U, pos[:] = family.head()
     row_id[:] = here[:] = range(rows)
     mask = np.zeros((rows, int(nlive.max()) + 8), dtype=np.int64)
     tag = np.zeros_like(mask) if keep_locs else None
@@ -247,7 +254,6 @@ def _run_batch(
             tag[i, : len(tags)], loc[i, : len(tags)] = tags, np.reshape(locs, (-1, dim))
     counts[:] = ((mask & bits[:, None, None]) != 0).sum(axis=2)
     coalesced = lambda: counts.min(axis=0) == nlive
-    U = np.array([s.uniforms(64) for s in streams]).reshape(rows, 64)
     table, reads = np.empty(0), np.arange(3)[:, None]
 
     def members(i: int, c: int) -> tuple:
@@ -288,7 +294,7 @@ def _run_batch(
             if pos.max() + 2 + max(dim, 1) > U.shape[1] or nlive.max() >= mask.shape[1]:
                 wider = lambda a: np.concatenate([a[here], np.zeros_like(a[here])], axis=1)
                 U, mask, tag, loc = (a if a is None else wider(a) for a in (U, mask, tag, loc))
-                U[:, U.shape[1] // 2 :] = [streams[r].uniforms(U.shape[1] // 2) for r in row_id]
+                U[:, U.shape[1] // 2 :] = family.uniforms(row_id, U.shape[1] // 2)
                 here[:] = range(here.size)
             u = U[here, pos + reads]
             rate = lam + nlive
@@ -338,7 +344,7 @@ def _run_batch(
         if record:
             states.append(snapshot(float(t[0])))
     if rows == 1:
-        streams[0]._unread(U.shape[1] - pos[0])
+        family.unread(0, U.shape[1] - pos[0])
     return (*out_F[[1, 0]], out_events, out_F[3], out_capped, out_I[5:].T,
             tuple(states) if record else None)
 
@@ -369,11 +375,13 @@ def run_coupled_chains(
         raise ValueError("need a horizon when not stopping at coalescence")
     if coefficients is not None and len(coefficients) != len(initial):
         raise ValueError("need one coefficient per chain")
+    family = StreamFamily.following(stream)
     *run, states = _run_batch(
-        [initial], [stream], floors, space, coefficients, test_function,
+        [initial], family, floors, space, coefficients, test_function,
         horizon=horizon, stop_on_coalescence=stop_on_coalescence,
         max_events=max_events, record=record,
     )
+    family.write_back(stream)
     integral, elapsed, events, tau, capped, counts = (a[0] for a in run)
     return CoupledRun(
         float(integral), float(elapsed), int(events), None if np.isnan(tau) else float(tau),
@@ -430,21 +438,25 @@ def _run_replicas(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every replica of an estimate through the engine; the one replica driver.
 
-    Replica r reads the derived stream (seed, r).  initial is either the list
-    of starting configurations shared by every replica, or a callable
-    (r, stream) that draws replica r's configurations from its stream before
-    the run reads it.  Batches hold at most _BATCH_ROWS replicas, since each
-    keeps a stream of a few kB while it runs.  Returns per-replica arrays of
-    the contrast integral, the capped flag and the coalescence time (NaN for
-    capped replicas, which never coalesce).
+    Replica r reads the derived stream (seed, r), as a row of a StreamFamily
+    seeded for the whole batch.  initial is either the list of starting
+    configurations shared by every replica, or a callable (r, stream) that
+    draws replica r's configurations from its stream before the run reads
+    it.  Batches hold at most _BATCH_ROWS replicas, which bounds the
+    engine's per-row arrays (read-ahead uniforms, chain masks, locations).
+    Returns per-replica arrays of the contrast integral, the capped flag and
+    the coalescence time (NaN for capped replicas, which never coalesce).
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     parts = []
     for lo in range(0, replicas, _BATCH_ROWS):
-        streams = [derive_stream(seed, r) for r in range(lo, min(lo + _BATCH_ROWS, replicas))]
-        starts = [initial(*rs) if callable(initial) else initial for rs in enumerate(streams, lo)]
-        run = _run_batch(starts, streams, floors, space, coefficients, f, max_events=max_events)
+        family = StreamFamily(seed, range(lo, min(lo + _BATCH_ROWS, replicas)))
+        starts = [
+            initial(lo + i, family.stream(i)) if callable(initial) else initial
+            for i in range(len(family))
+        ]
+        run = _run_batch(starts, family, floors, space, coefficients, f, max_events=max_events)
         parts.append((run[0], run[4], run[3]))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
@@ -590,13 +602,19 @@ def estimate_pi_f(
     seed: int,
     stream_offset: int = 0,
 ) -> MCEstimate:
-    """Plain Monte Carlo of pi(f) = E f(Po^(m)) from exact draws."""
+    """Plain Monte Carlo of pi(f) = E f(Po^(m)) from exact draws.
+
+    Replica r draws from stream (seed, stream_offset + r), read as a row of
+    a StreamFamily.
+    """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     vals = np.empty(replicas)
-    for r in range(replicas):
-        cfg = sample_conditional_poisson(space, m, derive_stream(seed, stream_offset + r))
-        vals[r] = f(cfg)
+    for lo in range(0, replicas, _BATCH_ROWS):
+        hi = min(lo + _BATCH_ROWS, replicas)
+        family = StreamFamily(seed, range(stream_offset + lo, stream_offset + hi))
+        for i in range(hi - lo):
+            vals[lo + i] = f(sample_conditional_poisson(space, m, family.stream(i)))
     return MCEstimate(
         estimate=float(vals.mean()),
         se=float(vals.std(ddof=1) / math.sqrt(replicas)),
@@ -668,13 +686,14 @@ def p_survival_analytic(lam: float, k: int) -> float:
     first returns to k.  The probability the distinguished point is still
     alive then is 1 - (F(k-1)/F(k) - k/lam) for F the Poisson upper tail;
     it is bounded by min(k/lam, k/(k+1)) and vanishes at k = 0.  Past the
-    mode it is k T/(1 + lam T), T as in bounds, free of that cancellation.
+    mode, and at k = 1 for lam <= 1 where k/lam is large, it is computed as
+    k T/(1 + lam T), T as in bounds, free of that cancellation.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError("lam must be positive and finite")
-    if k > math.ceil(lam):
+    if k > math.ceil(lam) or (k == 1 and lam <= 1.0):
         t = _upper_tail_sum(lam, k)
         return k * t / (1.0 + lam * t)
     return 1.0 - (poisson_tail_ratio(lam, k) - k / lam)

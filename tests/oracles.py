@@ -170,3 +170,27 @@ def cid_chain_events(tags, m, horizon, lam, stream, sample):
         else:
             victim = min(int(stream.uniform() * count), count - 1)
             events.append((t, "death", tags.pop(victim), None))
+
+
+def replica_runs_one_by_one(
+    run_coupled_chains, derive_stream, initial, floors, coefficients, f, space,
+    replicas, seed, max_events,
+):
+    """Per-replica (integral, capped, coalescence time) of a coupled estimate,
+    one replica at a time.
+
+    Replica r runs run_coupled_chains on derive_stream(seed, r), from initial
+    or, when initial is callable, from initial(r, stream) drawn first from
+    that stream.  A replica that never coalesces reads NaN.  The library's
+    replica driver must match this loop bit for bit.
+    """
+    out = np.empty((3, replicas))
+    for r in range(replicas):
+        stream = derive_stream(seed, r)
+        start = initial(r, stream) if callable(initial) else initial
+        run = run_coupled_chains(
+            start, floors, space, stream, coefficients, f, max_events=max_events
+        )
+        tau = math.nan if run.coalescence_time is None else run.coalescence_time
+        out[:, r] = run.integral, run.capped, tau
+    return out[0], out[1].astype(bool), out[2]

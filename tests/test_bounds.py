@@ -204,6 +204,12 @@ class TestPSurvival:
         p = p_survival_analytic(lam, k)
         assert 0.0 <= p <= min(k / lam, k / (k + 1)) + 1e-15
 
+    @pytest.mark.parametrize("lam", [1e-70, 1e-8, 1e-3, 0.5, 1.0])
+    def test_k1_small_lam_without_cancellation(self, lam):
+        # 1 - (F(0)/F(1) - 1/lam) cancels about log10(1/lam) digits here.
+        want = float(p_survival_mp(lam, 1))
+        assert abs(p_survival_analytic(lam, 1) - want) <= 2e-16 * want
+
     def test_matches_tail_ratio_identity(self):
         # p = 1 - (tail(k-1)/tail(k) - k/lam), with the tails at enough digits
         grid = [(lam, k) for lam in (0.5, 2.0, 7.0) for k in range(1, 12)]

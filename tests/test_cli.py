@@ -217,6 +217,13 @@ class TestVerify:
         obj = json.loads(capsys.readouterr().out)
         assert [r["k"] for r in obj["rows"]] == [1, 2, 5]
 
+    def test_p_survival_small_lam_exits_zero(self, capsys):
+        # At lambda = 1e-70 the k = 1 row is 1/2 to double precision.
+        code = run_cli("verify", "p-survival", "--lambda", "1e-70", "--replicas", "100")
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert code == 0
+        assert rows[0]["analytic"] == 0.5
+
     def test_failing_battery_exits_two(self, capsys, monkeypatch):
         def fake(**kwargs):
             return {

@@ -32,7 +32,7 @@ from condpp.groundspace import (
 from condpp.metrics import d1_bar
 from condpp.simulate import sample_conditional_poisson
 from condpp.verify import verify_delta_bounds
-from oracles import count_chain_h
+from oracles import count_chain_h, replica_runs_one_by_one
 
 
 def count_f_rule(j):
@@ -442,6 +442,59 @@ class TestPSurvival:
             estimate_p_survival(2.0, 1, 0, replicas=50, seed=0)
         with pytest.raises(ValueError):
             estimate_p_survival(2.0, 1, 2, replicas=200, seed=0)
+
+
+class TestStreamFamilyReplicas:
+    """The replica driver reads one StreamFamily a batch; it must equal
+    run_coupled_chains looped over derive_stream(seed, r), bit for bit."""
+
+    @classmethod
+    def setup_class(cls):
+        cls.space = unit_interval(3.0)
+        cls.xi = make_xi(3.0, 2, seed=5)
+
+    def initial(self, kind):
+        space, xi = self.space, self.xi
+        if kind == "list":
+            return coupling._pair_initials(xi, np.array([0.25]))
+        if kind == "alpha":  # stein_residual's immigration term
+            return lambda r, stream: coupling._pair_initials(xi, space.sample_one(stream))
+
+        def partner(r, stream):  # estimate_h's Po^(m) partner
+            drawn = sample_conditional_poisson(space, 1, stream)
+            tags = tuple(range(xi.size, xi.size + drawn.size))
+            return [xi, Configuration(tags, drawn.locations)]
+
+        return partner
+
+    @pytest.mark.parametrize("kind", ["list", "alpha", "partner"])
+    @pytest.mark.parametrize("functional", ["count", "matching", "none"])
+    @pytest.mark.parametrize("max_events", [coupling.DEFAULT_EVENT_CAP, 3])
+    def test_driver_matches_one_by_one(self, kind, functional, max_events, monkeypatch):
+        f = {
+            "count": CountTestFunction(count_f_rule),
+            "matching": reference_test_functions(self.space)[2],
+            "none": None,
+        }[functional]
+        coefficients = None if f is None else (1.0, -1.0)
+        initial = self.initial(kind)
+        # Batches of 5, 5 and 1: the last is a batch of one.
+        monkeypatch.setattr(coupling, "_BATCH_ROWS", 5)
+        got = coupling._run_replicas(
+            initial, [1, 1], coefficients, f, self.space, 11, 21, max_events=max_events
+        )
+        want = replica_runs_one_by_one(
+            run_coupled_chains, derive_stream, initial, [1, 1], coefficients, f,
+            self.space, 11, 21, max_events,
+        )
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        if max_events == 3:
+            assert got[1].any()
+
+    def test_pi_f_refuses_a_negative_stream_offset(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_pi_f(CountTestFunction(count_f_rule), 1, self.space, 10, 0, stream_offset=-1)
 
 
 class TestDrawOrderPinned:
