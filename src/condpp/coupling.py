@@ -12,13 +12,13 @@ is absorbing, and chains ordered by inclusion stay ordered, which gives the
 pathwise domination used by the tests.
 
 The engine runs all replicas of an estimate as one numpy batch, one event a
-step.  Each replica reads its own derived stream, a row of the batch's
-StreamFamily, in a fixed order (holding time, event type, then a location
-or a victim) and draws victims from its own live list of chain-membership
-bitmasks, kept in swap-remove order, so its path does not depend on the
-batch it runs in; run_coupled_chains is a batch of one, a family of one
-row that reads on from the caller's stream.  Each replica integrates a
-contrast of a test function:
+step.  Each replica reads its own RandomStream, derived from the seed and its
+replica number and seeded together with the rest of its batch, in a fixed
+order (holding time, event type, then a location or a victim), and draws
+victims from its own live list of chain-membership bitmasks, kept in
+swap-remove order, so its path does not depend on the batch it runs in;
+run_coupled_chains is a batch of one that reads on from the caller's stream.
+Each replica integrates a contrast of a test function:
   delta_h      -mean int f(Z_{xi+a}) - f(Z_xi) dt            (2 chains)
   delta2_h     -mean int f(Z_{xi+a+b}) - f(Z_{xi+a}) - ...   (4 chains)
   h            -mean int f(Z_xi) - f(Z_W) dt, W stationary   (2 chains)
@@ -38,7 +38,7 @@ import numpy as np
 from .bounds import _upper_tail_sum, poisson_pmf, poisson_tail, poisson_tail_ratio
 from .estimates import MCEstimate
 from .groundspace import (
-    Configuration, GroundSpace, RandomStream, StreamFamily, _Drawn, derive_stream,
+    Configuration, GroundSpace, RandomStream, _Drawn, derive_stream, derive_streams,
 )
 from .metrics import _d1_pair_locs
 from .simulate import sample_conditional_poisson
@@ -66,6 +66,8 @@ __all__ = [
 
 DEFAULT_EVENT_CAP = 10_000
 _BATCH_ROWS = 4096
+# Uniforms a replica's stream is read ahead by at a time, at the least.
+_READ_AHEAD = 64
 
 # Count-based test functions are Lipschitz-checked on this prefix.
 _COUNT_CHECK_UPTO = 1000
@@ -211,17 +213,17 @@ def _start(initial, floors, dim: int) -> tuple[list, list, list]:
 
 
 def _run_batch(
-    starts, family, floors, space, coefficients, f, *,
+    starts, streams, floors, space, coefficients, f, *,
     horizon=None, stop_on_coalescence=True, max_events, record=False,
 ):
-    """The engine: row r runs from starts[r] on row r of the stream family,
-    all rows in step.
+    """The engine: row r runs from starts[r] on streams[r], all rows in step.
 
-    A location takes `dimension` uniforms, a victim one.  Rows are read
-    ahead in blocks, starting from the family's head; a batch of one steps
-    its row back over the unread rest.  Tags and locations are kept when a
-    location functional or record needs them, and chains list their
-    identities by tag.  Returns per-row integral, elapsed, events,
+    A location takes `dimension` uniforms, a victim one.  Each row's stream
+    is read ahead in blocks, a first block of _READ_AHEAD and then refills
+    as wide as the block already held; a batch of one steps its stream back
+    over the unread rest, so the stream stands after the run's last draw.
+    Tags and locations are kept when a location functional or record needs
+    them, and chains list their identities by tag.  Returns per-row integral, elapsed, events,
     coalescence time (NaN if none), capped and final counts, plus the
     states of a recorded batch of one.
     """
@@ -243,7 +245,7 @@ def _run_batch(
     views = lambda: (*F[:4], F[4:], *I[:5], I[5:])
     t, integral, phi, tau, fvals, pos, nlive, born, row_id, here, counts = views()
     nlive[:], tau[:] = [len(b[0]) for b in begun], np.nan
-    U, pos[:] = family.head()
+    U = np.stack([s.uniforms(_READ_AHEAD) for s in streams])
     row_id[:] = here[:] = range(rows)
     mask = np.zeros((rows, int(nlive.max()) + 8), dtype=np.int64)
     tag = np.zeros_like(mask) if keep_locs else None
@@ -294,7 +296,8 @@ def _run_batch(
             if pos.max() + 2 + max(dim, 1) > U.shape[1] or nlive.max() >= mask.shape[1]:
                 wider = lambda a: np.concatenate([a[here], np.zeros_like(a[here])], axis=1)
                 U, mask, tag, loc = (a if a is None else wider(a) for a in (U, mask, tag, loc))
-                U[:, U.shape[1] // 2 :] = family.uniforms(row_id, U.shape[1] // 2)
+                half = U.shape[1] // 2
+                U[:, half:] = [streams[r].uniforms(half) for r in row_id.tolist()]
                 here[:] = range(here.size)
             u = U[here, pos + reads]
             rate = lam + nlive
@@ -344,7 +347,7 @@ def _run_batch(
         if record:
             states.append(snapshot(float(t[0])))
     if rows == 1:
-        family.unread(0, U.shape[1] - pos[0])
+        streams[0]._unread(U.shape[1] - pos[0])
     return (*out_F[[1, 0]], out_events, out_F[3], out_capped, out_I[5:].T,
             tuple(states) if record else None)
 
@@ -375,13 +378,11 @@ def run_coupled_chains(
         raise ValueError("need a horizon when not stopping at coalescence")
     if coefficients is not None and len(coefficients) != len(initial):
         raise ValueError("need one coefficient per chain")
-    family = StreamFamily.following(stream)
     *run, states = _run_batch(
-        [initial], family, floors, space, coefficients, test_function,
+        [initial], [stream], floors, space, coefficients, test_function,
         horizon=horizon, stop_on_coalescence=stop_on_coalescence,
         max_events=max_events, record=record,
     )
-    family.write_back(stream)
     integral, elapsed, events, tau, capped, counts = (a[0] for a in run)
     return CoupledRun(
         float(integral), float(elapsed), int(events), None if np.isnan(tau) else float(tau),
@@ -438,8 +439,8 @@ def _run_replicas(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every replica of an estimate through the engine; the one replica driver.
 
-    Replica r reads the derived stream (seed, r), as a row of a StreamFamily
-    seeded for the whole batch.  initial is either the list of starting
+    Replica r reads the derived stream (seed, r); derive_streams seeds the
+    streams of a batch together.  initial is either the list of starting
     configurations shared by every replica, or a callable (r, stream) that
     draws replica r's configurations from its stream before the run reads
     it.  Batches hold at most _BATCH_ROWS replicas, which bounds the
@@ -451,12 +452,12 @@ def _run_replicas(
         raise ValueError("need at least 2 replicas")
     parts = []
     for lo in range(0, replicas, _BATCH_ROWS):
-        family = StreamFamily(seed, range(lo, min(lo + _BATCH_ROWS, replicas)))
+        streams = derive_streams(seed, range(lo, min(lo + _BATCH_ROWS, replicas)))
         starts = [
-            initial(lo + i, family.stream(i)) if callable(initial) else initial
-            for i in range(len(family))
+            initial(lo + i, stream) if callable(initial) else initial
+            for i, stream in enumerate(streams)
         ]
-        run = _run_batch(starts, family, floors, space, coefficients, f, max_events=max_events)
+        run = _run_batch(starts, streams, floors, space, coefficients, f, max_events=max_events)
         parts.append((run[0], run[4], run[3]))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
@@ -604,17 +605,17 @@ def estimate_pi_f(
 ) -> MCEstimate:
     """Plain Monte Carlo of pi(f) = E f(Po^(m)) from exact draws.
 
-    Replica r draws from stream (seed, stream_offset + r), read as a row of
-    a StreamFamily.
+    Replica r draws from stream (seed, stream_offset + r); derive_streams
+    seeds the streams of every _BATCH_ROWS replicas together.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     vals = np.empty(replicas)
     for lo in range(0, replicas, _BATCH_ROWS):
         hi = min(lo + _BATCH_ROWS, replicas)
-        family = StreamFamily(seed, range(stream_offset + lo, stream_offset + hi))
-        for i in range(hi - lo):
-            vals[lo + i] = f(sample_conditional_poisson(space, m, family.stream(i)))
+        streams = derive_streams(seed, range(stream_offset + lo, stream_offset + hi))
+        for i, stream in enumerate(streams, lo):
+            vals[i] = f(sample_conditional_poisson(space, m, stream))
     return MCEstimate(
         estimate=float(vals.mean()),
         se=float(vals.std(ddof=1) / math.sqrt(replicas)),

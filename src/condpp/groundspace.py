@@ -6,25 +6,26 @@ configurations on Gamma are the state space of everything downstream.  All
 randomness flows through the streams derive_stream(master_seed, index): numpy
 PCG64 generators seeded through SeedSequence spawn keys, so that every
 simulation in the package is reproducible from (master_seed, index) alone and
-coupled simulations can share streams explicitly.  A scalar reader holds one
-RandomStream.  A batch of replicas reads a StreamFamily, which seeds the
-streams of many indices in one numpy pass and hands out bit for bit the
-uniforms their RandomStreams would.
+coupled simulations can share streams explicitly.  derive_streams builds the
+streams of many indices at once, hashing their SeedSequence words in one
+numpy pass; each is a plain RandomStream, bit for bit the one derive_stream
+gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "RandomStream",
     "derive_stream",
-    "StreamFamily",
+    "derive_streams",
     "GroundSpace",
     "unit_interval",
     "unit_cube",
@@ -45,12 +46,15 @@ class RandomStream:
     freely without changing what a later draw sees.
     """
 
-    def __init__(self, master_seed: int, index: int = 0):
+    def __init__(self, master_seed: int, index: int = 0, *, _hashed=None):
         if master_seed < 0 or index < 0:
             raise ValueError("master_seed and index must be nonnegative")
         self.master_seed = int(master_seed)
         self.index = int(index)
-        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.index,))
+        if _hashed is None:  # derive_streams hashes the seed words of a batch itself
+            seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.index,))
+        else:
+            seq = _HashedSeed(_hashed)
         self._gen = np.random.Generator(np.random.PCG64(seq))
 
     def _unread(self, n: int) -> None:
@@ -88,10 +92,6 @@ def derive_stream(master_seed: int, index: int) -> RandomStream:
 _MASK32, _POOL = 0xFFFF_FFFF, 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier.
-_MASK128, _PCG_MULT = (1 << 128) - 1, 0x2360ED051FC65DA44385DF649FCCF645
-# Uniforms a family row reads ahead at a time.
-_READ_AHEAD = 64
 
 
 def _words(x: int) -> list[int]:
@@ -123,17 +123,17 @@ def _absorb(pool: list, word, h: int) -> int:
     return h
 
 
-def _seeded(master_seed: int, keys: list[int]) -> tuple[list[int], list[int]]:
-    """PCG64 (state, inc) of derive_stream(master_seed, key) for every key.
+def _seed_words(master_seed: int, keys: list[int]) -> np.ndarray:
+    """The (len(keys), 4) uint64 words that PCG64 seeds derive_stream(master_seed,
+    key) from: SeedSequence(master_seed, spawn_key=(key,)).generate_state(4,
+    np.uint64) for every key.
 
     SeedSequence hashes the words of the seed (padded to four) and then of
-    the key into a pool of four words, and PCG64 seeds itself from eight
-    32-bit words hashed out of that pool.  The seed's part is the same for
-    every key and is hashed once; keys of as many words are hashed together,
-    as uint64 arrays holding 32-bit words.
+    the key into a pool of four words, and hashes eight 32-bit words out of
+    that pool.  The seed's part is the same for every key and is hashed once;
+    keys of as many words are hashed together, as uint64 arrays holding
+    32-bit words.
     """
-    if not keys:
-        return [], []
     entropy = _words(master_seed)
     entropy += [0] * (_POOL - len(entropy))
     pool, h = [], _INIT_A
@@ -147,7 +147,7 @@ def _seeded(master_seed: int, keys: list[int]) -> tuple[list[int], list[int]]:
                 pool[d] = _mix(pool[d], v)
     for w in entropy[_POOL:]:
         h = _absorb(pool, w, h)
-    state, inc = [0] * len(keys), [0] * len(keys)
+    words = np.empty((len(keys), 4), dtype=np.uint64)
     widths = [max(1, (k.bit_length() + 31) // 32) for k in keys]
     for width in set(widths):
         rows = [i for i, w in enumerate(widths) if w == width]
@@ -159,135 +159,34 @@ def _seeded(master_seed: int, keys: list[int]) -> tuple[list[int], list[int]]:
         for j in range(8):
             v, hk = _hashmix(mixed[j % _POOL], hk, _MULT_B)
             out.append(v)
-        s_hi, s_lo, i_hi, i_lo = (out[2 * j] | out[2 * j + 1] << 32 for j in range(4))
-        for i, sh, sl, ih, il in zip(rows, *(a.tolist() for a in (s_hi, s_lo, i_hi, i_lo))):
-            # PCG64's srandom: inc = 2 initseq + 1, then two steps around adding initstate.
-            inc[i] = ((ih << 64 | il) << 1 | 1) & _MASK128
-            state[i] = ((inc[i] + (sh << 64 | sl)) * _PCG_MULT + inc[i]) & _MASK128
-    return state, inc
+        for j in range(4):
+            words[rows, j] = out[2 * j] | out[2 * j + 1] << np.uint64(32)
+    return words
 
 
-@lru_cache(maxsize=256)
-def _jump(n: int) -> tuple[int, int]:
-    """(a, c) such that n steps of PCG64 take state s to a s + c inc.
+class _HashedSeed(ISeedSequence):
+    """Seed words already hashed, handed to PCG64 as its seed sequence."""
 
-    n is taken modulo 2**128, so a negative n steps back.
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != self.words.size or np.dtype(dtype) != self.words.dtype:
+            raise ValueError("PCG64 reads four uint64 seed words")
+        return self.words
+
+
+def derive_streams(master_seed: int, keys) -> list[RandomStream]:
+    """The streams derive_stream(master_seed, key) of many keys, seeded together.
+
+    Each stream reads bit for bit what derive_stream(master_seed, key) would;
+    the SeedSequence hashing of all keys runs as one numpy pass.
     """
-    n %= 1 << 128
-    a, c, step_a, step_c = 1, 0, _PCG_MULT, 1
-    while n:
-        if n & 1:
-            a, c = a * step_a & _MASK128, (c * step_a + step_c) & _MASK128
-        step_a, step_c = step_a * step_a & _MASK128, (step_a + 1) * step_c & _MASK128
-        n >>= 1
-    return a, c
-
-
-class StreamFamily:
-    """The streams derive_stream(master_seed, key) of many keys at once.
-
-    Row i of the family reads, bit for bit, the uniforms that
-    derive_stream(master_seed, keys[i]) would, in the same order.  Every
-    key's generator state is worked out in one numpy pass; a row's uniforms
-    are then drawn through the family's own scratch PCG64, pointed at that
-    row's state for each block.  uniforms(rows, n) hands each listed row its
-    next n.  stream(i) is a RandomStream reading row i a block at a time,
-    for a caller that draws from a row before a batch run takes it over;
-    head() starts that run from every row's read-ahead block.
-    """
-
-    def __init__(self, master_seed: int, keys):
-        keys = [int(k) for k in keys]
-        if master_seed < 0 or min(keys, default=0) < 0:
-            raise ValueError("master_seed and index must be nonnegative")
-        self.master_seed, self.keys = int(master_seed), keys
-        self._state, self._inc = _seeded(self.master_seed, keys)
-        self._bits = np.random.PCG64(0)
-        self._gen = np.random.Generator(self._bits)
-        self._spec = self._bits.state  # re-pointed at a row for each block
-        self._readers: dict[int, _FamilyRow] = {}
-
-    @classmethod
-    def following(cls, stream: RandomStream) -> "StreamFamily":
-        """A family of one row that reads on from where stream stands."""
-        family = cls(stream.master_seed, [])
-        pcg = stream._gen.bit_generator.state["state"]
-        family.keys, family._state, family._inc = [stream.index], [pcg["state"]], [pcg["inc"]]
-        return family
-
-    def write_back(self, stream: RandomStream) -> None:
-        """Move stream to where this family's one row stands."""
-        spec = stream._gen.bit_generator.state
-        spec["state"] = {"state": self._state[0], "inc": self._inc[0]}
-        stream._gen.bit_generator.state = spec
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def uniforms(self, rows, n: int) -> np.ndarray:
-        """The next n uniforms of each listed row, one row of the result each."""
-        out = np.empty((len(rows), n))
-        a, c = _jump(int(n))
-        spec, pcg, state, inc = self._spec, self._spec["state"], self._state, self._inc
-        for r, row in zip(np.asarray(rows).tolist(), out):
-            pcg["state"], pcg["inc"] = state[r], inc[r]
-            self._bits.state = spec
-            self._gen.random(out=row)
-            state[r] = (a * state[r] + c * inc[r]) & _MASK128
-        return out
-
-    def unread(self, row: int, n: int) -> None:
-        """Step row back over the last n uniforms it handed out."""
-        a, c = _jump(-int(n))
-        self._state[row] = (a * self._state[row] + c * self._inc[row]) & _MASK128
-
-    def stream(self, row: int) -> "RandomStream":
-        """Row `row` as a RandomStream that reads it _READ_AHEAD uniforms at a time."""
-        reader = self._readers[row] = _FamilyRow(self, row)
-        return reader
-
-    def head(self) -> tuple[np.ndarray, np.ndarray]:
-        """A block of every row's next uniforms, at least _READ_AHEAD wide,
-        and where each row's reading resumes in it.
-
-        A row read through stream() resumes inside the block its reader read
-        ahead; every other row resumes at 0.  Readers are done with after this.
-        """
-        readers, self._readers = self._readers, {}
-        width = max([_READ_AHEAD] + [r.block.size for r in readers.values()])
-        block, start = np.empty((len(self), width)), np.zeros(len(self), dtype=np.int64)
-        fresh = [i for i in range(len(self)) if i not in readers]
-        block[fresh] = self.uniforms(fresh, width)
-        for i, r in readers.items():
-            block[i, : r.block.size], start[i] = r.block, r.read
-            if r.block.size < width:
-                block[i, r.block.size :] = self.uniforms([i], width - r.block.size)[0]
-        return block, start
-
-
-class _FamilyRow(RandomStream):
-    """One row of a StreamFamily, read like the RandomStream it stands for."""
-
-    def __init__(self, family: StreamFamily, row: int):
-        self.master_seed, self.index = family.master_seed, family.keys[row]
-        self._family, self._row = family, row
-        self.block, self.read = np.empty(0), 0
-
-    def _unread(self, n: int) -> None:
-        if not 0 <= n <= self.read:
-            raise ValueError("cannot step back over uniforms not read")
-        self.read -= n
-
-    def uniforms(self, n: int) -> np.ndarray:
-        end = self.read + n
-        if end > self.block.size:
-            more = max(end - self.block.size, _READ_AHEAD)
-            self.block = np.concatenate([self.block, self._family.uniforms([self._row], more)[0]])
-        out, self.read = self.block[self.read : end], end
-        return out
-
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
+    keys = [int(k) for k in keys]
+    if master_seed < 0 or min(keys, default=0) < 0:
+        raise ValueError("master_seed and index must be nonnegative")
+    words = _seed_words(int(master_seed), keys)
+    return [RandomStream(master_seed, k, _hashed=w) for k, w in zip(keys, words)]
 
 
 @dataclass(frozen=True)

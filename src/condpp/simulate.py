@@ -280,7 +280,7 @@ def simulate_cid_chain(
         raise ValueError("configuration dimension does not match the ground space")
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError("horizon must be positive and finite")
-    lam = _check_space_lam(space)
+    lam = space.total_mass  # the chain inverts no count, so any finite mass runs
 
     dim = space.dimension
     tags = list(initial.tags)

@@ -23,6 +23,7 @@ from condpp.coupling import (
 )
 from condpp.groundspace import (
     Configuration,
+    RandomStream,
     configuration_from_locations,
     derive_stream,
     empty_configuration,
@@ -445,8 +446,9 @@ class TestPSurvival:
 
 
 class TestStreamFamilyReplicas:
-    """The replica driver reads one StreamFamily a batch; it must equal
-    run_coupled_chains looped over derive_stream(seed, r), bit for bit."""
+    """The replica driver reads the streams derive_streams(seed, ...) seeds a
+    batch at a time; it must equal run_coupled_chains looped over
+    derive_stream(seed, r), bit for bit."""
 
     @classmethod
     def setup_class(cls):
@@ -491,6 +493,37 @@ class TestStreamFamilyReplicas:
             np.testing.assert_array_equal(g, w)
         if max_events == 3:
             assert got[1].any()
+
+    @pytest.mark.parametrize("functional", ["count", "matching"])
+    def test_refills_match_one_by_one(self, functional, monkeypatch):
+        # Twelve points at lambda = 5 take rows past their first block, and
+        # rows stop at different steps, so the survivors refill alone.
+        space = unit_interval(5.0)
+        xi = configuration_from_locations(np.linspace(0.04, 0.96, 12))
+        initial = coupling._pair_initials(xi, np.array([0.5]))
+        if functional == "count":
+            f = CountTestFunction(count_f_rule)
+        else:
+            f = reference_test_functions(space)[2]
+        reads, uniforms = [], RandomStream.uniforms
+
+        def counted(stream, n):
+            reads.append(n)
+            return uniforms(stream, n)
+
+        monkeypatch.setattr(RandomStream, "uniforms", counted)
+        monkeypatch.setattr(coupling, "_BATCH_ROWS", 5)
+        got = coupling._run_replicas(
+            initial, [1, 1], (1.0, -1.0), f, space, 11, 22,
+            max_events=coupling.DEFAULT_EVENT_CAP,
+        )
+        assert len(reads) > 11  # a first block per replica, then refills
+        want = replica_runs_one_by_one(
+            run_coupled_chains, derive_stream, initial, [1, 1], (1.0, -1.0), f,
+            space, 11, 22, coupling.DEFAULT_EVENT_CAP,
+        )
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
     def test_pi_f_refuses_a_negative_stream_offset(self):
         with pytest.raises(ValueError, match="nonnegative"):

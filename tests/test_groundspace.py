@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from condpp.groundspace import (
     Configuration,
-    StreamFamily,
+    _seed_words,
     configuration_from_locations,
     derive_stream,
+    derive_streams,
     empty_configuration,
     unit_cube,
     unit_interval,
@@ -151,74 +152,62 @@ def numpy_stream(seed, key, n):
 
 
 FAMILY_SEEDS = [0, 7, 2**32, 2**64 + 1, 2**130 + 3]
-# Keys of one to four 32-bit words; a family hashes keys of as many words together.
+# Keys of one to four 32-bit words; keys of as many words are hashed together.
 FAMILY_KEYS = [0, 1, 2**32 - 1, 2**32, 2**40, 2**64 + 5, 2**100, 3]
 BLOCKS = [1, 63, 64, 65, 4096]
 
 
 class TestStreamFamily:
+    """The streams of one master seed, as derive_streams seeds them together."""
+
+    @pytest.mark.parametrize("seed", FAMILY_SEEDS)
+    def test_seed_words_match_seed_sequence(self, seed):
+        want = [
+            np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
+            for k in FAMILY_KEYS
+        ]
+        np.testing.assert_array_equal(_seed_words(seed, FAMILY_KEYS), want)
+
     @pytest.mark.parametrize("seed", FAMILY_SEEDS)
     @pytest.mark.parametrize("first", BLOCKS)
     def test_blocks_match_numpy(self, seed, first):
-        # A first block of any size, then refills of every size, bit for bit.
-        family = StreamFamily(seed, FAMILY_KEYS)
-        rows = range(len(FAMILY_KEYS))
-        want = np.array([numpy_stream(seed, k, first + sum(BLOCKS)) for k in FAMILY_KEYS])
-        np.testing.assert_array_equal(family.uniforms(rows, first), want[:, :first])
-        at = first
-        for n in BLOCKS:
-            np.testing.assert_array_equal(family.uniforms(rows, n), want[:, at : at + n])
-            at += n
+        # A first block of any size, then every kind of read and a step back,
+        # bit for bit.
+        streams = derive_streams(seed, FAMILY_KEYS)
+        assert [(s.master_seed, s.index) for s in streams] == [(seed, k) for k in FAMILY_KEYS]
+        for key, stream in zip(FAMILY_KEYS, streams):
+            want = numpy_stream(seed, key, first + sum(BLOCKS) + 3)
+            np.testing.assert_array_equal(stream.uniforms(first), want[:first])
+            assert stream.uniform() == want[first]
+            stream._unread(2)
+            at = first - 1
+            for n in BLOCKS:
+                np.testing.assert_array_equal(stream.uniforms(n), want[at : at + n])
+                at += n
+            assert stream.exponential(2.0) == -math.log1p(-want[at]) / 2.0
+            assert stream.integer(13) == min(int(want[at + 1] * 13), 12)
 
     def test_rows_read_independently(self):
-        family = StreamFamily(7, [5, 6, 2**40])
+        streams = derive_streams(7, [5, 6, 2**40])
         want = [numpy_stream(7, k, 200) for k in (5, 6, 2**40)]
-        np.testing.assert_array_equal(family.uniforms([2, 0], 30), [want[2][:30], want[0][:30]])
-        np.testing.assert_array_equal(family.uniforms(np.array([1]), 50), [want[1][:50]])
-        np.testing.assert_array_equal(
-            family.uniforms([0, 1, 2], 10), [want[0][30:40], want[1][50:60], want[2][30:40]]
-        )
+        np.testing.assert_array_equal(streams[2].uniforms(30), want[2][:30])
+        np.testing.assert_array_equal(streams[0].uniforms(30), want[0][:30])
+        np.testing.assert_array_equal(streams[1].uniforms(50), want[1][:50])
+        for s, w, at in zip(streams, want, (30, 50, 30)):
+            np.testing.assert_array_equal(s.uniforms(10), w[at : at + 10])
 
     def test_unread_steps_a_row_back(self):
-        family = StreamFamily(11, range(3))
+        streams = derive_streams(11, range(3))
         want = numpy_stream(11, 1, 300)
-        family.uniforms(range(3), 100)
-        family.unread(1, np.int64(30))
-        np.testing.assert_array_equal(family.uniforms([1], 40)[0], want[70:110])
-
-    def test_readers_then_head(self):
-        # Rows read through stream() first; head() resumes each where it stopped.
-        family = StreamFamily(9, range(4))
-        want = [numpy_stream(9, k, 400) for k in range(4)]
-        one, three = family.stream(1), family.stream(3)
-        assert (one.master_seed, one.index) == (9, 1)
-        assert one.uniform() == want[1][0]
-        np.testing.assert_array_equal(one.uniforms(70), want[1][1:71])
-        assert one.exponential(2.0) == -math.log1p(-want[1][71]) / 2.0
-        assert one.integer(13) == min(int(want[1][72] * 13), 12)
-        one._unread(2)
-        assert three.uniform() == want[3][0]
-        block, start = family.head()
-        assert block.shape == (4, 128)
-        assert start.tolist() == [0, 71, 0, 1]
-        for k in range(4):
-            np.testing.assert_array_equal(block[k, start[k] :], want[k][start[k] : 128])
-        np.testing.assert_array_equal(family.uniforms(range(4), 5), [w[128:133] for w in want])
-
-    def test_following_a_stream_and_writing_back(self):
-        want = numpy_stream(5, 2, 300)
-        stream = derive_stream(5, 2)
-        stream.uniforms(10)
-        family = StreamFamily.following(stream)
-        np.testing.assert_array_equal(family.uniforms([0], 100)[0], want[10:110])
-        family.unread(0, 7)
-        family.write_back(stream)
-        np.testing.assert_array_equal(stream.uniforms(5), want[103:108])
+        for s in streams:
+            s.uniforms(100)
+        streams[1]._unread(np.int64(30))
+        np.testing.assert_array_equal(streams[1].uniforms(40), want[70:110])
 
     @pytest.mark.parametrize("seed, keys", [(-1, [0]), (0, [3, -2]), (-5, [])])
     def test_rejects_negative_seed_parts(self, seed, keys):
         with pytest.raises(ValueError, match="nonnegative"):
-            StreamFamily(seed, keys)
+            derive_streams(seed, keys)
         with pytest.raises(ValueError, match="nonnegative"):
             derive_stream(seed, min(keys, default=0))
 

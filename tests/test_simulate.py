@@ -337,6 +337,15 @@ class TestTrajectory:
                 empty_configuration(), 2, 1.0, space, derive_stream(0, 0)
             )
 
+    def test_runs_where_count_inversion_underflows(self):
+        # exp(-800) underflows, which only the count samplers care about.
+        space = unit_interval(800.0)
+        traj = simulate_cid_chain(empty_configuration(1), 0, 0.01, space, derive_stream(0, 0))
+        assert traj.horizon == 0.01
+        assert traj.events and traj.events[0][1] == "immigration"
+        with pytest.raises(BudgetError):
+            sample_poisson_process(space, derive_stream(0, 0))
+
     def test_two_dimensional_space_round_trip(self):
         space = unit_cube(2.0, dimension=2)
         stream = derive_stream(50, 0)
