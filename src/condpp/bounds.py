@@ -1,4 +1,4 @@
-"""Poisson tails and closed-form Stein-factor bounds.
+"""Poisson and binomial tails and closed-form Stein-factor bounds.
 
 The first/second difference bounds for the solution of the Stein equation of
 a Poisson point process conditioned on at least m points come in uniform
@@ -9,7 +9,8 @@ candidate expressions; the candidate dictionaries are exposed so callers and
 tests can inspect which expression wins where.
 
 Tail conventions: poisson_tail(lam, k) is P(Po(lam) >= k) with value 1 for
-all k <= 0.
+all k <= 0, and binomial_tail(n, p, m) is P(Bin(n, p) >= m) with value 1 for
+all m <= 0 and 0 for all m > n.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "poisson_pmf",
     "poisson_tail",
     "poisson_tail_ratio",
+    "binomial_tail",
     "k1",
     "k2",
     "l1",
@@ -118,6 +120,81 @@ def poisson_tail_ratio(lam: float, k: int) -> float:
     if k > math.ceil(lam):  # F(k) may underflow; pmf(k-1)/F(k) = (k/lam)/(1 + lam T)
         return 1.0 + k / lam / (1.0 + lam * _upper_tail_sum(lam, k))
     return 1.0 + poisson_pmf(lam, k - 1) / poisson_tail(lam, k)
+
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _stirlerr(k: int) -> float:
+    """log k! - log(sqrt(2 pi k) (k/e)^k), the Stirling error at k >= 1."""
+    if k <= 15:
+        return math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - 0.5 * _LOG_2PI
+    kk = k * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk) / k
+
+
+def _bd0(x: float, mu: float) -> float:
+    """x log(x/mu) + mu - x, by a series in (x-mu)/(x+mu) when x is near mu."""
+    if abs(x - mu) >= 0.1 * (x + mu):
+        return x * math.log(x / mu) + mu - x
+    v = (x - mu) / (x + mu)
+    s, ej, v2 = (x - mu) * v, 2.0 * x * v, v * v
+    j = 1
+    while True:
+        ej *= v2
+        nxt = s + ej / (2 * j + 1)
+        if nxt == s:
+            return s
+        s, j = nxt, j + 1
+
+
+def _log_binomial_pmf(n: int, p: float, j: int) -> float:
+    """log P(Bin(n, p) = j) for 0 <= j <= n, in Loader's saddle-point form.
+
+    C. Loader, "Fast and accurate computation of binomial probabilities"
+    (2000).  log C(n, j) from lgamma would cancel terms of size n log n and
+    lose about 1e-11 at n = 1e4; the Stirling errors and bd0 stay small.
+    """
+    if j == 0:
+        return n * math.log1p(-p)
+    if j == n:
+        return n * math.log(p)
+    return (
+        _stirlerr(n) - _stirlerr(j) - _stirlerr(n - j)
+        - _bd0(j, n * p) - _bd0(n - j, n * (1.0 - p))
+        - 0.5 * (_LOG_2PI + math.log(j) + math.log1p(-j / n))
+    )
+
+
+def binomial_tail(n: int, p: float, m: int) -> float:
+    """P(Bin(n, p) >= m).  m <= 0 gives 1 and m > n gives 0.
+
+    Sums the shorter side with compensated summation: 1 minus the head
+    below m when m <= np (the median is floor(np) or ceil(np), so the tail
+    is then at least 1/2), otherwise the tail itself.  Either way the terms
+    fall from the first one on, and the sum stops once they drop below 1e-20
+    of it.
+    """
+    if n != int(n) or n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    if m != int(m):
+        raise ValueError("m must be an integer")
+    n, m = int(n), int(m)
+    if m <= 0:
+        return 1.0
+    if m > n:
+        return 0.0
+    head = m <= n * p
+    terms: list[float] = []
+    for j in range(m - 1, -1, -1) if head else range(m, n + 1):
+        t = math.exp(_log_binomial_pmf(n, p, j))
+        if terms and t < terms[0] * 1e-20:
+            break
+        terms.append(t)
+    total = math.fsum(terms)
+    return 1.0 - total if head else total
 
 
 def _log_plus(lam: float) -> float:

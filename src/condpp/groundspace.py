@@ -56,14 +56,17 @@ class RandomStream:
         else:
             seq = _HashedSeed(_hashed)
         self._gen = np.random.Generator(np.random.PCG64(seq))
+        # The generator's own 64-bit outputs: uniform() makes its double from
+        # one of them as Generator.random() does, without numpy's scalar path.
+        self._raw = self._gen.bit_generator.random_raw
 
     def _unread(self, n: int) -> None:
         """Step back over the last n uniforms; PCG64 advances modulo 2**128."""
         self._gen.bit_generator.advance(-int(n) % (1 << 128))
 
     def uniform(self) -> float:
-        """Next uniform in [0, 1)."""
-        return self._gen.random()
+        """Next uniform in [0, 1): the top 53 bits of one output, PCG64's next_double."""
+        return (self._raw() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next n uniforms as an array, same logical sequence as uniform()."""

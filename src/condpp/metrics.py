@@ -3,7 +3,8 @@
 d1_bar(xi, eta) matches the smaller configuration injectively into the larger
 at minimum ground cost, charges 1 per unmatched point, and normalizes by the
 larger size; it is a metric bounded by 1 on finite configurations.  A single
-pair is solved with scipy's rectangular Hungarian solver in any space.
+pair is solved with scipy's rectangular Hungarian solver in any space;
+scipy.optimize is loaded by the first such solve.
 
 d2_bar is the induced Wasserstein-type distance between point process laws;
 it is estimated from equal-size samples by balanced empirical transport with
@@ -22,10 +23,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from . import transport
 from .groundspace import Configuration, GroundSpace, is_unit_line
-# The solver comes through transport, the one module that imports
-# scipy.optimize.
-from .transport import linear_sum_assignment, solve_balanced_transport
+from .transport import solve_balanced_transport
 
 __all__ = ["d1_bar", "d2_bar_empirical", "D2Estimate"]
 
@@ -46,7 +46,9 @@ def _d1_locs(small: np.ndarray, large: np.ndarray, space: GroundSpace) -> float:
         w = float(space.pairwise(small, large).min())
         return (w + (n - 1)) / n
     costs = space.pairwise(small, large)
-    rows, cols = linear_sum_assignment(costs)
+    # Looked up on transport at each call: its first solve imports
+    # scipy.optimize and rebinds the name to scipy's solver.
+    rows, cols = transport.linear_sum_assignment(costs)
     w = float(costs[rows, cols].sum())
     return (w + (n - m)) / n
 

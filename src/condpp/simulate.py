@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import poisson_pmf, poisson_tail
+from .bounds import binomial_tail, poisson_pmf, poisson_tail
 from .groundspace import Configuration, GroundSpace, RandomStream, _Drawn
 
 __all__ = [
@@ -174,9 +174,7 @@ def _indicator_attempts(
     if conditional_m < 0 or conditional_m > n:
         raise ValueError("conditioning level must lie in {0, ..., n}")
     if conditional_m > 0:
-        from scipy.stats import binom
-
-        accept = float(binom.sf(conditional_m - 1, n, p))
+        accept = binomial_tail(n, p, conditional_m)
         if accept < _MIN_ACCEPTANCE:
             raise BudgetError(
                 f"acceptance probability {accept:.3g} below {_MIN_ACCEPTANCE:.0e}"

@@ -3,6 +3,10 @@
 scipy's Hungarian-family solver handles rectangular matrices directly: it
 matches every index of the smaller side and returns the pairs ordered by
 row.  It is exact; tests compare against brute-force enumeration.
+
+This is the one module that imports scipy.optimize, and it does so at the
+first solve, not at import: a process that never solves an assignment (the
+chain, the coupled count estimators, the Bernoulli samplers) never loads it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["Matching", "check_cost_matrix", "solve_assignment", "solve_balanced_transport"]
 
@@ -37,6 +40,18 @@ class Matching:
     def mean_cost(self) -> float:
         """cost averaged over matched pairs; 0 when nothing is matched."""
         return self.cost / len(self.pairs) if self.pairs else 0.0
+
+
+def linear_sum_assignment(costs):
+    """scipy.optimize.linear_sum_assignment, imported by the first call.
+
+    The import rebinds this module global to scipy's function, so every
+    later transport.linear_sum_assignment call goes straight to scipy.
+    """
+    global linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(costs)
 
 
 def check_cost_matrix(costs) -> np.ndarray:

@@ -29,6 +29,35 @@ def poisson_tail_mp(lam, m):
     return mpmath.gammainc(m, 0, mpmath.mpf(lam), regularized=True)
 
 
+def binomial_tail_mp(n, p, m):
+    """P(Bin(n, p) >= m) at 50 digits, p read as the exact value of its double.
+
+    Sums the whole shorter side: 1 minus the head below m when m <= np (the
+    tail is then at least 1/2, so the complement loses nothing), else the
+    tail.  The first term is exact; the rest follow by the pmf ratio.
+    """
+    if m <= 0:
+        return mpmath.mpf(1)
+    if m > n:
+        return mpmath.mpf(0)
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        q = 1 - p
+        head = m <= n * p
+        j = m - 1 if head else m
+        t = mpmath.binomial(n, j) * p**j * q ** (n - j)
+        total = t
+        while j > 0 if head else j < n:
+            if head:
+                t = t * j * q / ((n - j + 1) * p)
+                j -= 1
+            else:
+                t = t * (n - j) * p / ((j + 1) * q)
+                j += 1
+            total += t
+        return +(1 - total if head else total)
+
+
 def p_survival_mp(lam, k):
     """1 - (F(k-1)/F(k) - k/lam) for F the Poisson upper tail.
 

@@ -5,14 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condpp import bounds
+from condpp import bounds, simulate
 from condpp.coupling import p_survival_analytic
-from oracles import p_survival_mp, poisson_tail_mp
+from oracles import binomial_tail_mp, p_survival_mp, poisson_tail_mp
 
 LAM_GRID = [0.1, 0.5, 1.0, 1.76, 2.0, 5.0, 10.0, 25.0, 50.0]
 
 # (lam, k) where the Poisson tail at k underflows or 1 - (R - k/lam) cancels.
 FAR_PAST_MODE = [(0.5, 200), (0.001, 5), (1e-300, 2)]
+
+# (n, p, m): m at 1, at n, and on both sides of the mean np.
+BINOMIAL_GRID = sorted({
+    (n, p, m)
+    for n in (1, 2, 10, 100, 1000, 10_000)
+    for p in (1e-4, 0.01, 0.05, 0.3, 0.5, 0.9, 0.999)
+    for m in (1, math.floor(n * p), math.floor(n * p) + 1, n)
+})
 
 
 class TestTail:
@@ -41,6 +49,35 @@ class TestTail:
     def test_pmf_normalises(self):
         total = sum(bounds.poisson_pmf(4.0, j) for j in range(80))
         assert total == pytest.approx(1.0, abs=1e-14)
+
+
+class TestBinomialTail:
+    @pytest.mark.parametrize("n, p, m", BINOMIAL_GRID)
+    def test_matches_high_precision(self, n, p, m):
+        want = float(binomial_tail_mp(n, p, m))
+        assert bounds.binomial_tail(n, p, m) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_edges_and_arguments(self):
+        assert bounds.binomial_tail(5, 0.3, 0) == bounds.binomial_tail(5, 0.3, -1) == 1.0
+        assert bounds.binomial_tail(5, 0.3, 6) == bounds.binomial_tail(0, 0.3, 1) == 0.0
+        for args in [(5, 0.0, 1), (5, 1.0, 1), (-1, 0.3, 1), (2.5, 0.3, 1), (5, 0.3, 1.5)]:
+            with pytest.raises(ValueError):
+                bounds.binomial_tail(*args)
+
+    def test_budget_error_exactly_where_scipy_puts_acceptance_below_floor(self):
+        from scipy.stats import binom
+
+        class AllFire:
+            # Every indicator fires, so an accepted draw takes one attempt.
+            def uniforms(self, n):
+                return np.zeros(n)
+
+        for n, p, m in BINOMIAL_GRID:
+            if binom.sf(m - 1, n, p) < simulate._MIN_ACCEPTANCE:
+                with pytest.raises(simulate.BudgetError):
+                    simulate.sample_bernoulli_process(n, p, m, AllFire())
+            else:
+                assert simulate.sample_bernoulli_process(n, p, m, AllFire()).size == n
 
 
 class TestConstants:

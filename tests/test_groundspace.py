@@ -80,6 +80,24 @@ class TestRandomStream:
                 got.append(want[i])
         np.testing.assert_array_equal(np.asarray(got), want)
 
+    def test_scalar_block_and_unread_mix_matches_plain_generator(self):
+        # uniform() builds its double from the raw output itself; a plain
+        # Generator doing the same reads and step-backs must agree bit for bit.
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(8, spawn_key=(3,))))
+        s = derive_stream(8, 3)
+        ops = np.random.default_rng(0)
+        for _ in range(3000):
+            op, k = ops.integers(3), int(ops.integers(1, 70))
+            if op == 0:
+                got, want = s.uniform(), gen.random()
+                assert type(got) is float and got == want
+            elif op == 1:
+                np.testing.assert_array_equal(s.uniforms(k), gen.random(k))
+            else:
+                s._unread(k)
+                gen.bit_generator.advance(-k % (1 << 128))
+        assert s._gen.bit_generator.state == gen.bit_generator.state
+
     @pytest.mark.parametrize(
         "back", [0, 1, 63, 4097, np.int64(100)], ids=["0", "1", "63", "4097", "int64"]
     )

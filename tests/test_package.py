@@ -14,20 +14,49 @@ PACKAGE_DIR = Path(condpp.__file__).resolve().parent
 SUBMODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if not p.stem.startswith("_"))
 
 
-def test_bounds_imports_neither_scipy_nor_other_submodules():
-    # The closed-form Stein factors need only math; a fresh interpreter
-    # shows what importing them drags in.
-    code = (
-        "import sys, condpp.bounds; "
-        "print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'condpp')))"
-    )
+# Prints the loaded scipy and condpp modules on one line.
+LOADED = (
+    "print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'condpp')))"
+)
+
+
+def run_fresh(code: str) -> list[list[str]]:
+    """Run code in a fresh interpreter; the words of each line it prints."""
     path = [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["condpp", "condpp.bounds"]
+    return [line.split() for line in out.stdout.splitlines()]
+
+
+def test_bounds_imports_neither_scipy_nor_other_submodules():
+    # The closed-form Stein factors need only math; a fresh interpreter
+    # shows what importing them drags in.
+    assert run_fresh(f"import sys, condpp.bounds; {LOADED}") == [["condpp", "condpp.bounds"]]
+
+
+def test_scipy_loads_only_at_the_first_assignment_solve():
+    code = "; ".join([
+        "import sys",
+        "import condpp.cli, condpp.verify, condpp.coupling, condpp.bernoulli_app",
+        LOADED,
+        "from condpp.groundspace import configuration_from_locations as cfg, derive_stream, unit_interval",
+        "from condpp.simulate import sample_bernoulli_process",
+        "sample_bernoulli_process(100, 0.05, 1, derive_stream(1, 0))",
+        LOADED,
+        "from condpp.metrics import d1_bar",
+        "d1_bar(cfg([[0.1], [0.5], [0.7]]), cfg([[0.2], [0.3], [0.6], [0.9]]), unit_interval(1.0))",
+        LOADED,
+    ])
+    imported, drawn, solved = (
+        {m for m in line if m.startswith("scipy")} for line in run_fresh(code)
+    )
+    assert imported == set()
+    assert drawn == set()
+    assert "scipy.optimize" in solved
+    assert not {m for m in solved if m.split(".")[:2] == ["scipy", "stats"]}
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
