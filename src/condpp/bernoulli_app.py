@@ -41,8 +41,10 @@ def bernoulli_bound(n: int, p: float) -> tuple[float, float | None]:
     1/(1 - (1-p)^n) and the discretization term min(1/(2n) + p/2,
     1/sqrt(3np)).
     """
-    if n < 1 or not 0.0 < p < 1.0:
-        raise ValueError("need n >= 1 and p in (0, 1)")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"need p in (0, 1), got p={p}")
     lam = n * p
     prefactor = 1.0 / -math.expm1(n * math.log1p(-p))
     discretization = min(1.0 / (2 * n) + p / 2.0, 1.0 / math.sqrt(3.0 * lam))
@@ -96,6 +98,8 @@ def self_distance_calibration(
     finite-sample bias of the empirical transport estimator at this sample
     size; use it as the one-sided allowance when comparing against bounds.
     """
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples per side")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     vals = []

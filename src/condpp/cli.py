@@ -216,6 +216,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
+    bernoulli_app.bernoulli_bound(args.n, args.p)  # checks n and p before the calibration runs
     space = unit_interval(args.n * args.p)
     calibration = bernoulli_app.self_distance_calibration(
         bernoulli_app.conditional_poisson_law(space, 1),
@@ -240,11 +241,15 @@ def _cmd_bernoulli(args) -> int:
     return 0 if report.passed else 2
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, least: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _at_least_two(text: str) -> int:
+    return _positive_int(text, 2)
 
 
 def _build_parser() -> _Parser:
@@ -314,10 +319,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_bernoulli)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_at_least_two, default=500)
     p.add_argument(
         "--replicas",
-        type=int,
+        type=_at_least_two,
         default=8,
         help="self-distance calibration replicas for the bias allowance",
     )

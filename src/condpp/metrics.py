@@ -10,10 +10,10 @@ d2_bar is the induced Wasserstein-type distance between point process laws;
 it is estimated from equal-size samples by balanced empirical transport with
 ground cost d1_bar, which is an upward-biased estimator (bias decays as the
 sample size grows; calibrate with matched self-distance runs).  Its cost
-matrix on the unit line comes from one batched kernel instead of a solve per
-pair: there d0(x, y) = |x - y|, a Monge cost, so an optimal injection is
-monotone once both configurations are sorted (Aggarwal et al., FOCS 1992),
-and all pairs of two given sizes are matched together by a banded DP.
+matrix on the unit line needs no solve per pair: there d0(x, y) = |x - y|, a
+Monge cost, so an optimal injection is monotone once both configurations are
+sorted (Aggarwal et al., FOCS 1992), and one column DP per configuration size
+matches all configurations of that size against all those at least as large.
 """
 
 from __future__ import annotations
@@ -89,55 +89,55 @@ def _rows_block(space: GroundSpace, p_locs: list, q_locs: list) -> np.ndarray:
     return out
 
 
-def _sorted_by_size(locs: list) -> dict:
-    """size -> (sample indices, their sorted coordinates stacked row by row)."""
-    groups: dict[int, list[int]] = {}
-    for i, a in enumerate(locs):
-        groups.setdefault(a.shape[0], []).append(i)
-    return {
-        size: (np.array(idx), np.sort(np.stack([locs[i][:, 0] for i in idx]), axis=1))
-        for size, idx in groups.items()
-    }
+def _padded_by_size(locs: list) -> tuple:
+    """(order, sizes, rows) by size; rows are sorted coordinates padded with +inf."""
+    sizes = np.array([a.shape[0] for a in locs], dtype=np.intp)
+    order = np.argsort(sizes, kind="stable")
+    rows = np.full((len(locs), sizes.max(initial=0)), np.inf)
+    coords = [locs[i][:, 0] for i in order]
+    rows[np.arange(rows.shape[1]) < sizes[order, None]] = np.concatenate([*coords, np.empty(0)])
+    return order, sizes[order], np.sort(rows, axis=1)
 
 
-def _line_block(small: np.ndarray, large: np.ndarray) -> np.ndarray:
+def _line_rows(small: np.ndarray, large: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """d1_bar on the unit line for every (row of small, row of large) pair.
 
-    Rows are sorted coordinates, m per row of small and n >= m per row of
-    large.  The optimal injection is monotone, so the i-th small point takes
-    the large point i + s for an offset s in [0, n - m] that never decreases
-    in i.  d[..., s] is the least cost of the first i points with offsets up
-    to s.  At m = n there is one offset and d sums |a_i - b_i| in order; at
-    m = 0 the loop is empty and every entry is n / n = 1.
+    small holds sorted rows of m points, large sorted rows of ascending sizes
+    >= m padded with +inf.  The optimal injection is monotone, so d[i] after
+    column j is the least cost of the first i small points within the first
+    j + 1 large points.  Column j updates only the rows i that can still
+    reach m and the large rows with a point there.  An empty pair is 0 / 1.
     """
-    m, n = small.shape[1], large.shape[1]
-    if n == 0:
-        return np.zeros((small.shape[0], large.shape[0]))
-    band = n - m + 1
-    d = np.zeros((small.shape[0], large.shape[0], band))
-    for i in range(m):
-        step = np.abs(small[:, None, i, None] - large[None, :, i : i + band])
-        d = np.minimum.accumulate(d + step, axis=2)
-    return (d[:, :, -1] + (n - m)) / n
+    m, n_cols = small.shape[1], large.shape[1]
+    if len(small) > 1 and len(small) * len(large) * (m + 1) > 1 << 21:  # d stays below 16 MB
+        return np.vstack([_line_rows(half, large, sizes) for half in np.array_split(small, 2)])
+    d = np.full((m + 1, len(small), len(large)), np.inf)
+    d[0] = 0.0
+    for j, a in enumerate(np.searchsorted(sizes, np.arange(n_cols if m else 0), "right")):
+        lo, hi = max(0, m - (n_cols - j)), min(j + 1, m)
+        step = np.abs(small.T[lo:hi, :, None] - large[a:, j])
+        live = d[lo + 1 : hi + 1, :, a:]
+        np.minimum(live, d[lo:hi, :, a:] + step, out=live)
+    return (d[m] + (sizes - m)) / np.maximum(sizes, 1)
 
 
 def _unit_line_matrix(p_locs: list, q_locs: list) -> np.ndarray:
-    """pairwise_d1_matrix on the unit line, one size-pair block at a time.
+    """pairwise_d1_matrix on the unit line, one DP per configuration size.
 
-    Each pair is computed by the same call whichever sample it comes from
-    (smaller size first; equal sizes give |a - b| = |b - a|), so the matrix
-    of the swapped samples is exactly the transpose.
+    Each pair runs with its smaller side as the small rows (p's at equal
+    sizes, where |a - b| = |b - a|), so swapping p and q transposes; blocks
+    with q as the small side are written through the view out.T.
     """
+    p, q = _padded_by_size(p_locs), _padded_by_size(q_locs)
     out = np.empty((len(p_locs), len(q_locs)))
-    q_groups = _sorted_by_size(q_locs)
-    for p_size, (rows, p_sorted) in _sorted_by_size(p_locs).items():
-        for q_size, (cols, q_sorted) in q_groups.items():
-            if p_size <= q_size:
-                block = _line_block(p_sorted, q_sorted)
-            else:
-                block = _line_block(q_sorted, p_sorted).T
-            out[np.ix_(rows, cols)] = block
-    return out
+    pairs = ((p, q, out, "left"), (q, p, out.T, "right"))
+    for (_, sizes, rows), (_, big_sizes, big_rows), view, side in pairs:
+        for m in dict.fromkeys(sizes.tolist()):  # np.unique would load numpy.ma
+            small = slice(*np.searchsorted(sizes, [m, m + 1]))
+            at = np.searchsorted(big_sizes, m, side)
+            if at < len(big_sizes):
+                view[small, at:] = _line_rows(rows[small, :m], big_rows[at:], big_sizes[at:])
+    return out[np.ix_(np.argsort(p[0]), np.argsort(q[0]))]
 
 
 def pairwise_d1_matrix(
@@ -149,10 +149,10 @@ def pairwise_d1_matrix(
     """Cost matrix costs[i, j] = d1_bar(ps[i], qs[j]).
 
     On the unit line (groundspace.is_unit_line) the whole matrix comes from
-    the batched sorted-matching kernel in this process, within rounding of
-    the Hungarian solves.  In any other space each pair is a Hungarian solve,
-    and only then do rows fan out to `workers` processes.  Either way the
-    matrix does not depend on `workers`.
+    one sorted-matching DP per configuration size in this process, within
+    rounding of the Hungarian solves.  In any other space each pair is a
+    Hungarian solve, and only then do rows fan out to `workers` processes.
+    Either way the matrix does not depend on `workers`.
     """
     p_locs = [p.locations for p in ps]
     q_locs = [q.locations for q in qs]

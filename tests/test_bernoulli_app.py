@@ -90,6 +90,13 @@ class TestCalibration:
         ]
         assert means[0] > means[1] > means[2]
 
+    def test_needs_two_samples_per_side(self):
+        space = unit_interval(2.0)
+        with pytest.raises(ValueError, match="2 samples"):
+            self_distance_calibration(
+                conditional_poisson_law(space, 1), n_samples=1, replicas=4, seed=5, space=space
+            )
+
     def test_allowance_formula(self):
         cal = self_distance_calibration(
             conditional_bernoulli_law(30, 0.1, 1), n_samples=16, replicas=6,

@@ -338,6 +338,25 @@ class TestBernoulli:
             ) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--n", "100", "--p", "1.5", "--samples", "200", "--replicas", "2"), "p=1.5"),
+            (("--n", "100", "--p", "-0.1"), "p=-0.1"),
+            (("--n", "0", "--p", "0.1"), "n=0"),
+            (("--n", "100", "--p", "0.05", "--samples", "1"), "--samples"),
+            (("--n", "100", "--p", "0.05", "--replicas", "1"), "--replicas"),
+        ],
+    )
+    def test_bad_arguments_fail_before_calibrating(self, argv, named, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cli.bernoulli_app, "self_distance_calibration", lambda *a, **k: calls.append(a)
+        )
+        assert run_cli("bernoulli", *argv) == 1
+        assert calls == []
+        assert named in capsys.readouterr().err
+
 
 class TestParser:
     def test_unknown_command_is_usage_error(self, capsys):

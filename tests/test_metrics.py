@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condpp.bernoulli_app import conditional_bernoulli_law, conditional_poisson_law
 from condpp.coupling import MatchingDistanceTestFunction
 from condpp.groundspace import (
     GroundSpace,
@@ -163,6 +166,72 @@ class TestPairwiseMatrix:
                     )
         np.testing.assert_array_equal(pairwise_d1_matrix(qs, ps, SPACE), mat.T)
         assert np.all(np.diag(pairwise_d1_matrix(ps, ps, SPACE)) == 0.0)
+
+    def test_matrix_bytes_are_pinned(self):
+        # sha256 of the matrix bytes.  Each entry is the minimum over
+        # monotone injections of fixed left-to-right float sums, so no
+        # change of kernel may move a single bit.
+        def digest(ps, qs, space):
+            return hashlib.sha256(pairwise_d1_matrix(ps, qs, space).tobytes()).hexdigest()
+
+        stream = derive_stream(8, 0)
+        ps = line_sample(stream, [*range(13), *range(13)])
+        qs = line_sample(stream, [*range(12, -1, -1), *range(13)])
+        assert digest(ps, qs, SPACE) == (
+            "1bfa96a6bbc709c9e3d3307edaf4e9c2fba81fb0635c2576ec316bfd2d4bc543"
+        )
+        assert digest(qs, ps, SPACE) == (
+            "eecad05ecb678cc6aaced73635a9e4cdc84f9f2b793a9657fc8363aae87e210a"
+        )
+        # Criterion 8's laws at 100 a side: conditional Bernoulli (n=100,
+        # p=0.05) against Po^(1) at lambda = 5.
+        space = unit_interval(5.0)
+        bern, pois = conditional_bernoulli_law(100, 0.05, 1), conditional_poisson_law(space, 1)
+        s0, s1 = derive_stream(12, 0), derive_stream(12, 1)
+        ps, qs = [bern(s0) for _ in range(100)], [pois(s1) for _ in range(100)]
+        assert digest(ps, qs, space) == (
+            "af9d28eb2c0bac196ea859c1fc62de28d2cb63b66242133bd02f1b95123b9f3b"
+        )
+        # Po^(1) at lambda = 50, sizes 34 to 72, where the row band matters.
+        space = unit_interval(50.0)
+        law = conditional_poisson_law(space, 1)
+        s0, s1 = derive_stream(12, 2), derive_stream(12, 3)
+        ps, qs = [law(s0) for _ in range(40)], [law(s1) for _ in range(40)]
+        assert (min(c.size for c in ps + qs), max(c.size for c in ps + qs)) == (34, 72)
+        assert digest(ps, qs, space) == (
+            "3ac054d6f87b2e8f3c99d569cf98c235c33ef45f4f12dc2429e6b75ee43a4b8d"
+        )
+
+    def test_empty_p_sample(self):
+        qs = line_sample(derive_stream(8, 4), [0, 2, 5])
+        mat = pairwise_d1_matrix([], qs, SPACE)
+        assert mat.shape == (0, 3) and mat.dtype == np.float64
+
+    def test_empty_q_sample(self):
+        ps = line_sample(derive_stream(8, 5), [0, 2, 5])
+        mat = pairwise_d1_matrix(ps, [], SPACE)
+        assert mat.shape == (3, 0) and mat.dtype == np.float64
+        assert pairwise_d1_matrix([], [], SPACE).shape == (0, 0)
+
+    def test_samples_of_empty_configurations(self):
+        empties = [empty_configuration(1) for _ in range(3)]
+        np.testing.assert_array_equal(pairwise_d1_matrix(empties, empties[:2], SPACE), 0.0)
+        others = line_sample(derive_stream(8, 6), [1, 4])
+        np.testing.assert_array_equal(pairwise_d1_matrix(empties, others, SPACE), 1.0)
+        np.testing.assert_array_equal(pairwise_d1_matrix(others, empties, SPACE), 1.0)
+
+    def test_samples_mixing_empty_and_nonempty_configurations(self):
+        stream = derive_stream(8, 7)
+        ps = line_sample(stream, [0, 3, 0, 1, 6, 0])
+        qs = line_sample(stream, [2, 0, 6, 0, 1])
+        mat = pairwise_d1_matrix(ps, qs, SPACE)
+        for i, p in enumerate(ps):
+            for j, q in enumerate(qs):
+                if p.size == 0 or q.size == 0:
+                    assert mat[i, j] == (0.0 if p.size == q.size else 1.0)
+                else:
+                    assert mat[i, j] == pytest.approx(d1_bar(p, q, SPACE), abs=1e-12)
+        np.testing.assert_array_equal(pairwise_d1_matrix(qs, ps, SPACE), mat.T)
 
     def test_worker_fanout_is_deterministic(self):
         # The unit line runs in-process; the square fans out Hungarian rows.
