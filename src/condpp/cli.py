@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io as _stringio
+import math
 import os
 import sys
 
@@ -252,6 +253,17 @@ def _at_least_two(text: str) -> int:
     return _positive_int(text, 2)
 
 
+def _nonnegative_int(text: str) -> int:
+    return _positive_int(text, 0)
+
+
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="condpp", description=__doc__)
     parser.add_argument(
@@ -267,9 +279,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="conditional immigration-death trajectories")
     p.set_defaults(run=_cmd_simulate)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--t", "--horizon", dest="horizon", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_positive_finite, required=True)
+    p.add_argument("--m", type=_nonnegative_int, default=0)
+    p.add_argument("--t", "--horizon", dest="horizon", type=_positive_finite, required=True)
     p.add_argument("--replicas", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -282,8 +294,8 @@ def _build_parser() -> _Parser:
         required=True,
     )
     p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--lambda", dest="lam", type=_positive_finite, default=None)
+    p.add_argument("--m", type=_nonnegative_int, default=0)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -51,7 +51,10 @@ def dumps_report(obj: Any) -> str:
 
 
 def config_to_obj(cfg: Configuration) -> dict:
-    return {"points": [list(map(float, row)) for row in cfg.locations]}
+    obj = {"points": [list(map(float, row)) for row in cfg.locations]}
+    if cfg.size == 0 and cfg.dimension != 1:  # no point says what it is
+        obj["dimension"] = cfg.dimension
+    return obj
 
 
 def config_from_obj(obj: Any, where: str = "configuration") -> Configuration:
@@ -132,19 +135,19 @@ def trajectory_from_obj(obj: Any, where: str = "trajectory") -> Trajectory:
         if kind not in ("immigration", "death"):
             raise SchemaError(f"{where}: event {i} has unknown kind '{kind}'")
         if kind == "immigration":
-            if not isinstance(loc, list):
-                raise SchemaError(f"{where}: event {i} immigration needs a location")
+            if not (isinstance(loc, list) and len(loc) == initial.dimension):
+                raise SchemaError(
+                    f"{where}: event {i} immigration needs a length-{initial.dimension} location"
+                )
             loc = tuple(float(x) for x in loc)
         else:
             if loc is not None:
                 raise SchemaError(f"{where}: event {i} death carries a location")
         events.append((float(time), kind, int(tag), loc))
-    return Trajectory(
-        initial=initial,
-        horizon=float(obj["horizon"]),
-        m=int(obj["m"]),
-        events=tuple(events),
-    )
+    try:
+        return Trajectory.from_events(initial, obj["horizon"], obj["m"], events)
+    except ValueError as exc:  # a tag the columns cannot hold
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def write_trajectories(path, trajs: Iterable[Trajectory]) -> None:

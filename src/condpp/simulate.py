@@ -11,13 +11,18 @@ Draw discipline is fixed so runs are reproducible from the stream alone:
 each chain event consumes a holding-time uniform, then a type uniform, then
 either the location draws (immigration) or one victim-index uniform (death).
 The type uniform is consumed even when the floor forces immigration.  The
-chain reads its stream in blocks, steps the stream back over what it did not
-use, and places all its immigrants with one sampler call after the run, so
-the stream and the locations are those of reading one event at a time.
+chain reads its uniforms through one iterator over blocks of the stream,
+steps the stream back over what it did not use, and places all its
+immigrants with one sampler call after the run, so the stream and the
+locations are those of reading one event at a time.  A trajectory keeps its
+events as columns (times, one code per event, the immigrants' places) and
+builds the event tuples only when they are read.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -215,46 +220,107 @@ def sample_binomial_process(
     return Configuration(tuple(range(count)), space.sample(stream, count))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Piecewise-constant path of the chain over [0, horizon].
+def _first_immigrant_tag(tags) -> int:
+    return max(tags, default=-1) + 1
 
-    events holds (time, kind, tag, location) tuples in time order, where kind
-    is "immigration" (location is a coordinate tuple) or "death" (location is
-    None and tag names the removed point).
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Piecewise-constant path of the chain over [0, horizon], held as columns.
+
+    Event k happens at times[k]; codes[k] is None for an immigration and the
+    removed point's tag for a death.  Immigrants are tagged max(initial.tags)
+    + 1, + 2, ... in order of arrival, and row j of places is the location
+    of the j-th.  events rebuilds the (time, kind, tag, location) tuples,
+    where kind is "immigration" (location is a coordinate tuple) or "death"
+    (location is None and tag names the removed point).
     """
 
     initial: Configuration
     horizon: float
     m: int
-    events: tuple[tuple[float, str, int, tuple | None], ...]
+    times: tuple[float, ...]
+    codes: tuple[int | None, ...]
+    places: np.ndarray  # (immigrations, dimension)
+
+    @classmethod
+    def from_events(cls, initial: Configuration, horizon: float, m: int, events) -> Trajectory:
+        """The trajectory of (time, kind, tag, location) tuples in time order.
+
+        Raises ValueError naming the event when an immigrant's tag is not the
+        next one or a death removes a point that is not alive: the columns
+        could not hold either.
+        """
+        alive = set(initial.tags)
+        tag = _first_immigrant_tag(initial.tags)
+        times, codes, places = [], [], []
+        for i, (time, kind, got, loc) in enumerate(events):
+            if kind == "immigration":
+                if got != tag:
+                    raise ValueError(f"event {i}: immigrant tag {got} is not the next tag {tag}")
+                alive.add(tag)
+                tag += 1
+                codes.append(None)
+                places.append(loc)
+            else:
+                if got not in alive:
+                    raise ValueError(f"event {i}: death of tag {got}, which is not alive")
+                alive.remove(got)
+                codes.append(got)
+            times.append(time)
+        places = np.array(places, dtype=float).reshape(len(places), initial.dimension)
+        return cls(initial, float(horizon), int(m), tuple(times), tuple(codes), places)
+
+    @property
+    def events(self) -> tuple[tuple[float, str, int, tuple | None], ...]:
+        arrivals = zip(
+            itertools.count(_first_immigrant_tag(self.initial.tags)), map(tuple, self.places)
+        )
+        return tuple(
+            (time, "immigration", *next(arrivals)) if code is None else (time, "death", code, None)
+            for time, code in zip(self.times, self.codes)
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (self.initial, self.horizon, self.m, self.events) == (
+            other.initial, other.horizon, other.m, other.events
+        )
 
     def count_path(self) -> tuple[np.ndarray, np.ndarray]:
         """Event times and population counts just after each event."""
-        times = np.array([e[0] for e in self.events])
-        steps = np.array([1 if e[1] == "immigration" else -1 for e in self.events], dtype=int) \
-            if self.events else np.zeros(0, dtype=int)
-        return times, self.initial.size + np.cumsum(steps)
+        steps = np.array([1 if code is None else -1 for code in self.codes], dtype=int)
+        return np.array(self.times, dtype=float), self.initial.size + np.cumsum(steps)
 
     def configuration_at(self, t: float) -> Configuration:
         if not 0.0 <= t <= self.horizon:
             raise ValueError("t outside [0, horizon]")
-        # Live points by tag, in order of arrival; tags are never reused.
-        locs = {tag: tuple(loc) for tag, loc in zip(self.initial.tags, self.initial.locations)}
-        for time, kind, tag, loc in self.events:
-            if time > t:
-                break
-            if kind == "immigration":
-                locs[tag] = loc
-            else:
-                del locs[tag]
-        arr = np.array(list(locs.values()), dtype=float).reshape(
-            len(locs), self.initial.dimension
+        # Live points in order of arrival: the start, then the immigrants so
+        # far, less every tag a death up to t removed; tags are never reused.
+        codes = self.codes[: bisect.bisect_right(self.times, t)]
+        first = _first_immigrant_tag(self.initial.tags)
+        dead = set(codes)
+        kept = [tag not in dead for tag in self.initial.tags]
+        arrivals = sorted(set(range(first, first + codes.count(None))).difference(dead))
+        tags = tuple(itertools.compress(self.initial.tags, kept)) + tuple(arrivals)
+        locs = np.concatenate(
+            (self.initial.locations[kept], self.places[[tag - first for tag in arrivals]])
         )
-        return Configuration(tuple(locs), arr)
+        return Configuration(tags, locs)
 
     def final_configuration(self) -> Configuration:
         return self.configuration_at(self.horizon)
+
+
+def _blocks(stream: RandomStream, sizes: list[int]):
+    """The stream's uniforms as lists of _FIRST_BLOCK, doubling up to _BLOCK;
+    sizes records every block read."""
+    block = _FIRST_BLOCK
+    while True:
+        sizes.append(block)
+        yield stream.uniforms(block).tolist()
+        block = min(2 * block, _BLOCK)
 
 
 def simulate_cid_chain(
@@ -281,37 +347,34 @@ def simulate_cid_chain(
     lam = space.total_mass  # the chain inverts no count, so any finite mass runs
 
     dim = space.dimension
-    tags = list(initial.tags)
-    next_tag = max(tags, default=-1) + 1
-    events: list[tuple[float, str, int, tuple | None]] = []
-    arrivals: list[int] = []  # positions of immigrations in events
-    drawn: list[float] = []  # their location uniforms, dim each
+    live = list(initial.tags)
+    first = tag = _first_immigrant_tag(live)
+    times: list[float] = []
+    codes: list[int | None] = []
+    drawn: list[float] = []  # the immigrants' location uniforms, dim each
+    read: list[int] = []
+    uniforms = itertools.chain.from_iterable(_blocks(stream, read))
+    draw, islice, log1p = uniforms.__next__, itertools.islice, math.log1p
     t = 0.0
-    u, i, block = [], 0, _FIRST_BLOCK
-    log1p = math.log1p
-    while True:
-        while i + 2 + dim > len(u):  # an event reads at most 2 + dim uniforms
-            u = u[i:] + stream.uniforms(block).tolist()
-            i, block = 0, min(2 * block, _BLOCK)
-        count = len(tags)
+    for u in uniforms:  # the holding uniform
+        count = len(live)
         rate = lam + (count if count > m else 0)
-        t += -log1p(-u[i]) / rate
+        t += -log1p(-u) / rate
         if t >= horizon:
-            i += 1
             break
-        if u[i + 1] * rate < lam:
-            arrivals.append(len(events))
-            events.append((t, "immigration", next_tag, None))
-            drawn += u[i + 2 : i + 2 + dim]
-            tags.append(next_tag)
-            next_tag += 1
-            i += 2 + dim
+        if draw() * rate < lam:
+            drawn.extend(islice(uniforms, dim))
+            live.append(tag)
+            tag += 1
+            codes.append(None)
         else:
-            victim = min(int(u[i + 2] * count), count - 1)
-            events.append((t, "death", tags.pop(victim), None))
-            i += 3
-    stream._unread(len(u) - i)
-    places = space.sample(_Drawn(np.array(drawn)), len(arrivals))
-    for at, loc in zip(arrivals, zip(*places.T)):
-        events[at] = events[at][:3] + (loc,)
-    return Trajectory(initial=initial, horizon=float(horizon), m=int(m), events=tuple(events))
+            # min(int(u * count), count - 1) without the cost of a min call
+            victim = int(draw() * count)
+            codes.append(live.pop(victim if victim < count else count - 1))
+        times.append(t)
+    arrivals = tag - first
+    # Each event read two uniforms and then dim or one; the last holding
+    # uniform ended the run.
+    stream._unread(sum(read) - (3 * len(times) + (dim - 1) * arrivals + 1))
+    places = space.sample(_Drawn(np.array(drawn)), arrivals)
+    return Trajectory(initial, float(horizon), int(m), tuple(times), tuple(codes), places)

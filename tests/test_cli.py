@@ -95,6 +95,23 @@ class TestSample:
             "sample", "--law", "bernoulli", "--count", "5", "--seed", "0", "--out", str(out)
         ) == 1
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--law", "cpoisson", "--lambda", "-1"), "--lambda"),
+            (("--law", "poisson", "--lambda", "nan"), "--lambda"),
+            (("--law", "cpoisson", "--lambda", "2", "--m", "-1"), "--m"),
+            (("--law", "bernoulli", "--n", "30", "--p", "0.2", "--m", "-1"), "--m"),
+        ],
+    )
+    def test_bad_flag_is_named_before_any_draw(self, argv, named, tmp_path, capsys, monkeypatch):
+        draws = []
+        monkeypatch.setattr(cli, "derive_stream", lambda *a: draws.append(a))
+        out = tmp_path / "x.jsonl"
+        assert run_cli("sample", *argv, "--count", "3", "--out", str(out)) == 1
+        assert named in capsys.readouterr().err
+        assert draws == [] and not out.exists()
+
 
 class TestSimulate:
     def test_horizon_alias_and_trajectory_output(self, tmp_path):
@@ -124,6 +141,24 @@ class TestSimulate:
             ) == 1
             assert "--replicas" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--lambda", "-1", "--t", "5"), "--lambda"),
+            (("--lambda", "inf", "--t", "5"), "--lambda"),
+            (("--lambda", "2", "--t", "0"), "--t"),
+            (("--lambda", "2", "--t", "inf"), "--t"),
+            (("--lambda", "2", "--t", "5", "--m", "-1"), "--m"),
+        ],
+    )
+    def test_bad_flag_is_named_before_any_draw(self, argv, named, tmp_path, capsys, monkeypatch):
+        draws = []
+        monkeypatch.setattr(cli, "derive_stream", lambda *a: draws.append(a))
+        out = tmp_path / "trajs.jsonl"
+        assert run_cli("simulate", *argv, "--out", str(out)) == 1
+        assert named in capsys.readouterr().err
+        assert draws == [] and not out.exists()
 
 
 class TestDistance:

@@ -9,9 +9,10 @@ from condpp.groundspace import (
     configuration_from_locations,
     derive_stream,
     empty_configuration,
+    unit_cube,
     unit_interval,
 )
-from condpp.simulate import simulate_cid_chain
+from condpp.simulate import Trajectory, simulate_cid_chain
 
 
 def random_configs(n, seed=0, max_size=6):
@@ -106,6 +107,38 @@ class TestTrajectoryRoundTrip:
             assert a.initial == b.initial
             assert a.events == b.events
             assert a.final_configuration() == b.final_configuration()
+
+    def test_from_events_round_trip(self):
+        for traj in self._trajectories():
+            back = Trajectory.from_events(traj.initial, traj.horizon, traj.m, traj.events)
+            assert back.events == traj.events
+            assert back == traj
+        a, b = self._trajectories(2)
+        assert a != b
+
+    def test_empty_start_off_the_line_survives(self, tmp_path):
+        space = unit_cube(2.0, dimension=2)
+        traj = simulate_cid_chain(empty_configuration(2), 0, 3.0, space, derive_stream(6, 0))
+        path = tmp_path / "trajs.jsonl"
+        io.write_trajectories(path, [traj])
+        assert io.read_trajectories(path) == [traj]
+
+    @pytest.mark.parametrize(
+        "events, named",
+        [
+            # the next immigrant of a start tagged 0 and 1 is tagged 2
+            ([[0.1, "immigration", 2, [0.3]], [0.2, "immigration", 5, [0.4]]], "event 1"),
+            ([[0.1, "immigration", 0, [0.3]]], "event 0"),
+            # a death must remove a point that is alive
+            ([[0.1, "death", 0, None], [0.2, "death", 0, None]], "event 1"),
+            ([[0.1, "immigration", 2, [0.3]], [0.2, "death", 7, None]], "event 1"),
+            ([[0.1, "immigration", 2, [0.3, 0.4]]], "event 0"),
+        ],
+    )
+    def test_tags_the_columns_cannot_hold_rejected(self, events, named):
+        obj = {"m": 0, "horizon": 1.0, "initial": {"points": [[0.2], [0.7]]}, "events": events}
+        with pytest.raises(io.SchemaError, match=named):
+            io.trajectory_from_obj(obj)
 
     def test_event_kind_validated(self):
         obj = {

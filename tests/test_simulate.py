@@ -11,6 +11,7 @@ from scipy import stats
 
 from condpp.coupling import run_coupled_chains
 from condpp.groundspace import (
+    Configuration,
     configuration_from_locations,
     derive_stream,
     empty_configuration,
@@ -18,6 +19,8 @@ from condpp.groundspace import (
     unit_interval,
 )
 from condpp.simulate import (
+    _BLOCK,
+    _FIRST_BLOCK,
     BudgetError,
     CountPMF,
     bernoulli_site_configuration,
@@ -207,6 +210,16 @@ def _event_digest(traj):
     return h.hexdigest()[:16]
 
 
+def _matches_oracle(initial, m, horizon, space, seed):
+    """Run the chain and the one-event-at-a-time oracle on equal streams."""
+    stream, ref = derive_stream(seed, 0), derive_stream(seed, 0)
+    traj = simulate_cid_chain(initial, m, horizon, space, stream)
+    want = cid_chain_events(initial.tags, m, horizon, space.total_mass, ref, space.sample)
+    assert list(traj.events) == want
+    assert stream.uniform() == ref.uniform()
+    return traj
+
+
 def _two_draw_sampler(stream, size):
     # Reads two uniforms a point, breaking the one-point-per-`dimension` rule.
     return stream.uniforms(2 * size)[::2].reshape(size, 1)
@@ -250,7 +263,7 @@ class TestTrajectory:
     # 70: one location needs more uniforms than the chain's first block
     @pytest.mark.parametrize("dim", [1, 2, 3, 70])
     def test_matches_the_one_event_at_a_time_loop(self, dim):
-        for lam, m in itertools.product((0.3, 3.0, 40.0), (0, 2)):
+        for lam, m in itertools.product((0.3, 3.0, 40.0), (0, 1, 2)):
             space = unit_cube(lam, dim)
             stream, ref = derive_stream(70 + dim, m), derive_stream(70 + dim, m)
             initial = configuration_from_locations(space.sample(stream, m + 1))
@@ -260,6 +273,47 @@ class TestTrajectory:
                 want = cid_chain_events(initial.tags, m, horizon, lam, ref, space.sample)
                 assert list(traj.events) == want
                 assert stream.uniform() == ref.uniform()
+
+    @pytest.mark.parametrize("tags", [(-5, -2), (3, 17)])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_oracle_with_negative_and_gapped_tags(self, tags, m):
+        space = unit_interval(3.0)
+        initial = Configuration(tags, space.sample(derive_stream(81, 0), 2))
+        traj = _matches_oracle(initial, m, 10.0, space, 91)
+        locs = dict(zip(tags, map(tuple, initial.locations)))
+        for _, kind, tag, loc in traj.events:
+            if kind == "immigration":
+                locs[tag] = loc
+            else:
+                del locs[tag]
+        final = traj.final_configuration()
+        assert final.tags == tuple(locs)
+        np.testing.assert_array_equal(final.locations, np.array(list(locs.values())))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_oracle_from_an_empty_start(self, dim):
+        traj = _matches_oracle(empty_configuration(dim), 0, 10.0, unit_cube(2.0, dim), 92)
+        assert traj.events[0][1:3] == ("immigration", 0)
+
+    def test_oracle_past_the_block_on_a_cube(self):
+        dim = 3
+        traj = _matches_oracle(empty_configuration(dim), 0, 60.0, unit_cube(40.0, dim), 93)
+        # Where each block of the stream ends, and where each immigrant's
+        # location uniforms lie in the stream.
+        ends, size, end = set(), _FIRST_BLOCK, 0
+        while end < 3 * _BLOCK:
+            end += size
+            ends.add(end)
+            size = min(2 * size, _BLOCK)
+        straddles, at = 0, 0
+        for _, kind, _, _ in traj.events:
+            at += 2
+            if kind == "immigration":
+                straddles += any(at < e < at + dim for e in ends)
+                at += dim
+            else:
+                at += 1
+        assert at > 3 * _BLOCK and straddles > 0
 
     def test_sampler_must_read_dimension_uniforms_a_point(self):
         space = dataclasses.replace(unit_interval(2.0), sampler=_two_draw_sampler)
