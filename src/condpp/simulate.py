@@ -273,11 +273,12 @@ class Trajectory:
 
     @property
     def events(self) -> tuple[tuple[float, str, int, tuple | None], ...]:
-        arrivals = zip(
-            itertools.count(_first_immigrant_tag(self.initial.tags)), map(tuple, self.places)
-        )
+        tags = itertools.count(_first_immigrant_tag(self.initial.tags))
+        places = zip(*self.places.T)
         return tuple(
-            (time, "immigration", *next(arrivals)) if code is None else (time, "death", code, None)
+            (time, "death", code, None)
+            if code is not None
+            else (time, "immigration", next(tags), next(places))
             for time, code in zip(self.times, self.codes)
         )
 
