@@ -319,10 +319,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="simulation-vs-analytic batteries")
     p.set_defaults(run=_cmd_verify)
     p.add_argument("battery", choices=("p-survival", "stein", "delta-bounds"))
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--scenarios", type=int, default=None)
+    p.add_argument("--lambda", dest="lam", type=_positive_finite, default=None)
+    p.add_argument("--m", type=_nonnegative_int, default=1)
+    p.add_argument("--replicas", type=_at_least_two, default=None)
+    p.add_argument("--scenarios", type=_nonnegative_int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)

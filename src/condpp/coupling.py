@@ -11,12 +11,12 @@ conditional immigration-death chain, coalescence (identical identity sets)
 is absorbing, and chains ordered by inclusion stay ordered, which gives the
 pathwise domination used by the tests.
 
-The engine runs all replicas of an estimate as one numpy batch, one event a
-step.  Each replica reads its own RandomStream, derived from the seed and its
-replica number and seeded together with the rest of its batch, in a fixed
-order (holding time, event type, then a location or a victim), and draws
-victims from its own live list of chain-membership bitmasks, kept in
-swap-remove order, so its path does not depend on the batch it runs in;
+The engine runs all replicas of a battery as one numpy batch, one event a
+step.  Each replica reads its own RandomStream, derived from its estimate's
+seed and its replica number and seeded together with the rest of its batch,
+in a fixed order (holding time, event type, then a location or a victim),
+and draws victims from its own live list of chain-membership bitmasks, kept
+in swap-remove order, so its path does not depend on the batch it runs in;
 run_coupled_chains is a batch of one that reads on from the caller's stream.
 Each replica integrates a contrast of a test function:
   delta_h      -mean int f(Z_{xi+a}) - f(Z_xi) dt            (2 chains)
@@ -29,6 +29,7 @@ inflated conservatively, and an estimate is refused when every replica hits it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,6 +61,7 @@ __all__ = [
     "estimate_h",
     "estimate_pi_f",
     "stein_residual",
+    "stein_residuals",
     "p_survival_analytic",
     "estimate_p_survival",
 ]
@@ -119,8 +121,9 @@ class CountTestFunction(TestFunction):
     def __init__(self, rule, label: str = "count"):
         self.rule = rule
         self.label = label
-        for j in range(_COUNT_CHECK_UPTO):
-            if abs(rule(j + 1) - rule(j)) > 1.0 / (j + 1) + 1e-12:
+        values = [rule(j) for j in range(_COUNT_CHECK_UPTO + 1)]
+        for j, (a, b) in enumerate(zip(values, values[1:])):
+            if abs(b - a) > 1.0 / (j + 1) + 1e-12:
                 raise ValueError(
                     f"count rule violates the Lipschitz increment at j={j}"
                 )
@@ -149,6 +152,12 @@ def _default_count_rule(j: int) -> float:
     return min(1.0, j / 10.0)
 
 
+@functools.cache
+def _default_count_function() -> CountTestFunction:
+    """The stock count functional, Lipschitz-checked once per process."""
+    return CountTestFunction(_default_count_rule, label="count_min(1,j/10)")
+
+
 def reference_test_functions(space: GroundSpace) -> tuple[TestFunction, ...]:
     """The stock family used by verification batteries and tests.
 
@@ -164,7 +173,7 @@ def reference_test_functions(space: GroundSpace) -> tuple[TestFunction, ...]:
         MatchingDistanceTestFunction(empty, space),
         MatchingDistanceTestFunction(single, space),
         MatchingDistanceTestFunction(spread, space),
-        CountTestFunction(_default_count_rule, label="count_min(1,j/10)"),
+        _default_count_function(),
     )
 
 
@@ -434,32 +443,43 @@ def simulate_domination_triple(
 
 
 def _run_replicas(
-    initial, floors: list[int], coefficients: tuple[float, ...] | None,
-    f: TestFunction | None, space: GroundSpace, replicas: int, seed: int, *, max_events: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every replica of an estimate through the engine; the one replica driver.
+    jobs, floors: list[int], coefficients: tuple[float, ...] | None,
+    f: TestFunction | None, space: GroundSpace, *, max_events: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every replica of a list of estimates through the engine; the one replica driver.
 
-    Replica r reads the derived stream (seed, r); derive_streams seeds the
-    streams of a batch together.  initial is either the list of starting
-    configurations shared by every replica, or a callable (r, stream) that
-    draws replica r's configurations from its stream before the run reads
-    it.  Batches hold at most _BATCH_ROWS replicas, which bounds the
-    engine's per-row arrays (read-ahead uniforms, chain masks, locations).
-    Returns per-replica arrays of the contrast integral, the capped flag and
-    the coalescence time (NaN for capped replicas, which never coalesce).
+    Each job is an (initial, seed, replicas) triple, and all jobs share the
+    floors, coefficients, f and event cap.  Replica r of a job reads the
+    derived stream (seed, r); derive_streams seeds a job's streams of a
+    batch together.  initial is either the list of starting configurations
+    shared by every replica of the job, or a callable (r, stream) that draws
+    replica r's configurations from its stream before the run reads it.
+    The jobs' rows run end to end in batches of at most _BATCH_ROWS rows,
+    which bounds the engine's per-row arrays (read-ahead uniforms, chain
+    masks, locations); every row reads only its own stream, so its results
+    do not depend on the batch it runs in.  Returns, per job, per-replica
+    arrays of the contrast integral, the capped flag and the coalescence
+    time (NaN for capped replicas, which never coalesce).
     """
-    if replicas < 2:
+    if any(replicas < 2 for _, _, replicas in jobs):
         raise ValueError("need at least 2 replicas")
+    bounds = list(itertools.accumulate((replicas for _, _, replicas in jobs), initial=0))
+    spans = list(zip(bounds, bounds[1:]))
     parts = []
-    for lo in range(0, replicas, _BATCH_ROWS):
-        streams = derive_streams(seed, range(lo, min(lo + _BATCH_ROWS, replicas)))
-        starts = [
-            initial(lo + i, stream) if callable(initial) else initial
-            for i, stream in enumerate(streams)
-        ]
+    for lo in range(0, bounds[-1], _BATCH_ROWS):
+        starts, streams = [], []
+        for (initial, seed, _), (first, end) in zip(jobs, spans):
+            keys = range(max(lo, first) - first, min(lo + _BATCH_ROWS, end) - first)
+            batch = derive_streams(seed, keys)
+            streams += batch
+            starts += [
+                initial(r, stream) if callable(initial) else initial
+                for r, stream in zip(keys, batch)
+            ]
         run = _run_batch(starts, streams, floors, space, coefficients, f, max_events=max_events)
         parts.append((run[0], run[4], run[3]))
-    return tuple(np.concatenate(a) for a in zip(*parts))
+    whole = [np.concatenate(a) for a in zip(*parts)]
+    return [tuple(a[first:end] for a in whole) for first, end in spans]
 
 
 def _contrast_estimate(
@@ -503,9 +523,9 @@ def estimate_delta_h(
     """Monte Carlo h(xi + delta_alpha) - h(xi) via the coupled pair."""
     if xi.size < m:
         raise ValueError("xi must sit at or above the floor m")
-    runs = _run_replicas(
-        _pair_initials(xi, alpha_location), [m, m], (1.0, -1.0), f, space,
-        replicas, seed, max_events=max_events,
+    (runs,) = _run_replicas(
+        [(_pair_initials(xi, alpha_location), seed, replicas)], [m, m], (1.0, -1.0), f,
+        space, max_events=max_events,
     )
     return _contrast_estimate(runs, span=1.0, seed=seed)
 
@@ -527,9 +547,9 @@ def estimate_delta2_h(
     with_a, base = _pair_initials(xi, alpha_location)
     with_b = base.with_point(xi.size + 1, beta_location)
     with_ab = with_a.with_point(xi.size + 1, beta_location)
-    runs = _run_replicas(
-        [with_ab, with_a, with_b, base], [m, m, m, m], (1.0, -1.0, -1.0, 1.0), f,
-        space, replicas, seed, max_events=max_events,
+    (runs,) = _run_replicas(
+        [([with_ab, with_a, with_b, base], seed, replicas)], [m, m, m, m],
+        (1.0, -1.0, -1.0, 1.0), f, space, max_events=max_events,
     )
     return _contrast_estimate(runs, span=2.0, seed=seed)
 
@@ -558,8 +578,8 @@ def estimate_h(
         tags = tuple(range(xi.size, xi.size + partner.size))
         return [base, Configuration(tags, partner.locations)]
 
-    runs = _run_replicas(
-        with_partner, [m, m], (1.0, -1.0), f, space, replicas, seed,
+    (runs,) = _run_replicas(
+        [(with_partner, seed, replicas)], [m, m], (1.0, -1.0), f, space,
         max_events=max_events,
     )
     return _contrast_estimate(runs, span=1.0, seed=seed)
@@ -579,9 +599,9 @@ def estimate_coalescence_time(
     Replicas that hit the event cap are excluded from the mean and counted
     in the capped field instead of being inflated.
     """
-    _, capped, taus = _run_replicas(
-        _pair_initials(xi, alpha_location), [m, m], None, None, space,
-        replicas, seed, max_events=max_events,
+    ((_, capped, taus),) = _run_replicas(
+        [(_pair_initials(xi, alpha_location), seed, replicas)], [m, m], None, None, space,
+        max_events=max_events,
     )
     times = taus[~capped]
     if times.size < 2:
@@ -635,49 +655,79 @@ def stein_residual(
 ) -> MCEstimate:
     """Monte Carlo check of the generator identity A h_f(xi) = f(xi) - pi(f).
 
-    The generator applied to the Stein solution is estimated term by term:
-    Lambda times the intensity-average of delta_h(xi; alpha) (alpha drawn
-    fresh per replica), minus the sum over points x of delta_h(xi - x; x)
-    when xi sits above the floor.  The residual subtracts f(xi) - pi(f);
-    its standard error combines the component errors in quadrature, and the
-    estimate should vanish within Monte Carlo error.
+    stein_residuals of the one configuration xi.
     """
-    if xi.size < m:
-        raise ValueError("xi must sit at or above the floor m")
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    lam = space.total_mass
+    return stein_residuals(f, [xi], m, space, replicas, [seed], max_events=max_events)[0]
+
+
+def _stein_job(xi: Configuration, m: int, space: GroundSpace, replicas: int, seed: int):
+    """The generator's coupled components at xi, as one replica-driver job.
+
+    Component 0 is the immigration average, alpha drawn fresh each replica;
+    components 1..n are one death term per point of xi, active above the
+    floor.  Component i reads streams i * replicas onwards.
+    """
     base = Configuration(tuple(range(xi.size)), xi.locations)
-    # Component 0 is the immigration average, alpha drawn fresh each replica;
-    # components 1..n are one death term per point of xi, active above the
-    # floor.  Component i reads streams i * replicas onwards, all in one batch.
     dying = [[base, base.without_tag(i)] for i in range(xi.size)] if xi.size > m else []
 
     def component(r: int, stream: RandomStream) -> list[Configuration]:
         i = r // replicas
         return dying[i - 1] if i else _pair_initials(xi, space.sample_one(stream))
 
-    runs = _run_replicas(
-        component, [m, m], (1.0, -1.0), f, space, replicas * (1 + len(dying)), seed,
-        max_events=max_events,
-    )
-    imm, *deaths = [
-        _contrast_estimate(part, span=1.0, seed=seed)
-        for part in zip(*(a.reshape(-1, replicas) for a in runs))
-    ]
-    death_mean = sum(est.estimate for est in deaths)
-    death_var = sum(est.se**2 for est in deaths)
+    return component, seed, replicas * (1 + len(dying))
 
-    pi_est = estimate_pi_f(
-        f, m, space, replicas, seed, stream_offset=(xi.size + 1) * replicas
+
+def stein_residuals(
+    f: TestFunction,
+    xis,
+    m: int,
+    space: GroundSpace,
+    replicas: int,
+    seeds,
+    max_events: int = DEFAULT_EVENT_CAP,
+) -> list[MCEstimate]:
+    """Monte Carlo checks of A h_f(xi) = f(xi) - pi(f), one per xi in xis.
+
+    The generator applied to the Stein solution is estimated term by term:
+    Lambda times the intensity-average of delta_h(xi; alpha) (alpha drawn
+    fresh per replica), minus the sum over points x of delta_h(xi - x; x)
+    when xi sits above the floor.  The residual subtracts f(xi) - pi(f);
+    its standard error combines the component errors in quadrature, and the
+    estimate should vanish within Monte Carlo error.  xis[i] is estimated at
+    seeds[i]; the coupled components of every xi run through the engine
+    together, and each estimate equals the one its xi would get alone.
+    """
+    xis, seeds = list(xis), list(seeds)
+    if len(xis) != len(seeds):
+        raise ValueError("need one seed per configuration")
+    if any(xi.size < m for xi in xis):
+        raise ValueError("xi must sit at or above the floor m")
+    if replicas < 2:  # a job's rows are replicas times its component count
+        raise ValueError("need at least 2 replicas")
+    runs = _run_replicas(
+        [_stein_job(xi, m, space, replicas, seed) for xi, seed in zip(xis, seeds)],
+        [m, m], (1.0, -1.0), f, space, max_events=max_events,
     )
-    residual = lam * imm.estimate - death_mean - (f(base) - pi_est.estimate)
-    se = math.sqrt((lam * imm.se) ** 2 + death_var + pi_est.se**2)
-    # A replica is capped when any of its component runs is.
-    capped = int(runs[1].reshape(-1, replicas).any(axis=0).sum())
-    return MCEstimate(
-        estimate=residual, se=se, replicas=replicas, seed=seed, capped=capped
-    )
+    lam = space.total_mass
+    estimates = []
+    for xi, seed, job in zip(xis, seeds, runs):
+        imm, *deaths = [
+            _contrast_estimate(part, span=1.0, seed=seed)
+            for part in zip(*(a.reshape(-1, replicas) for a in job))
+        ]
+        death_mean = sum(est.estimate for est in deaths)
+        death_var = sum(est.se**2 for est in deaths)
+        pi_est = estimate_pi_f(
+            f, m, space, replicas, seed, stream_offset=(xi.size + 1) * replicas
+        )
+        residual = lam * imm.estimate - death_mean - (f(xi) - pi_est.estimate)
+        se = math.sqrt((lam * imm.se) ** 2 + death_var + pi_est.se**2)
+        # A replica is capped when any of its component runs is.
+        capped = int(job[1].reshape(-1, replicas).any(axis=0).sum())
+        estimates.append(
+            MCEstimate(estimate=residual, se=se, replicas=replicas, seed=seed, capped=capped)
+        )
+    return estimates
 
 
 def p_survival_analytic(lam: float, k: int) -> float:

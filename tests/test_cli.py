@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from condpp import cli, verify
+from condpp import cli, coupling, verify
 from condpp.io import read_configurations, read_trajectories
 
 
@@ -318,7 +318,30 @@ class TestVerify:
             "--threads", "1", "verify", "delta-bounds", "--scenarios", "-4",
             "--replicas", "20",
         ) == 1
-        assert "n_scenarios" in capsys.readouterr().err
+        assert "--scenarios" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("stein", "--lambda", "-1"), "--lambda"),
+            (("stein", "--lambda", "inf"), "--lambda"),
+            (("stein", "--m", "-1"), "--m"),
+            (("stein", "--replicas", "1"), "--replicas"),
+            (("p-survival", "--lambda", "nan"), "--lambda"),
+            (("delta-bounds", "--m", "-1"), "--m"),
+            (("delta-bounds", "--scenarios", "-1"), "--scenarios"),
+        ],
+    )
+    def test_bad_flag_is_named_before_any_draw(self, argv, named, tmp_path, capsys, monkeypatch):
+        draws = []
+        record = lambda *a: draws.append(a)
+        monkeypatch.setattr(verify, "derive_stream", record)
+        monkeypatch.setattr(coupling, "derive_stream", record)
+        monkeypatch.setattr(coupling, "derive_streams", record)
+        out = tmp_path / "report.json"
+        assert run_cli("--threads", "1", "verify", *argv, "--out", str(out)) == 1
+        assert named in capsys.readouterr().err
+        assert draws == [] and not out.exists()
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("CONDPP_SEED", "123")

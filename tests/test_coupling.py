@@ -20,6 +20,7 @@ from condpp.coupling import (
     simulate_coupled_pair,
     simulate_domination_triple,
     stein_residual,
+    stein_residuals,
 )
 from condpp.groundspace import (
     Configuration,
@@ -375,6 +376,38 @@ class TestSteinResidual:
         assert 0 < est.capped <= est.replicas
         assert est.capped_fraction <= 1.0
 
+    def test_stein_residuals_match_per_size(self, monkeypatch):
+        # One engine pass over sizes at, one above and three above the floor
+        # gives each size bit for bit what its own stein_residual gives;
+        # batches of 5 rows split inside every size's components.
+        space, f = unit_interval(3.0), CountTestFunction(count_f_rule)
+        xis = [make_xi(3.0, size, seed=40 + size) for size in (1, 2, 4)]
+        seeds = [1000, 2000, 3000]
+        alone = [stein_residual(f, xi, 1, space, 13, seed) for xi, seed in zip(xis, seeds)]
+        monkeypatch.setattr(coupling, "_BATCH_ROWS", 5)
+        together = stein_residuals(f, xis, 1, space, 13, seeds)
+        capped = stein_residuals(f, xis, 1, space, 13, seeds, max_events=4)
+        monkeypatch.undo()
+        capped_alone = [
+            stein_residual(f, xi, 1, space, 13, seed, max_events=4)
+            for xi, seed in zip(xis, seeds)
+        ]
+        for got, want in zip(together + capped, alone + capped_alone):
+            assert (got.estimate, got.se, got.capped) == (want.estimate, want.se, want.capped)
+            assert (got.replicas, got.seed) == (want.replicas, want.seed)
+        assert any(est.capped for est in capped)
+
+    def test_stein_residuals_checks_before_any_run(self, monkeypatch):
+        space, f = unit_interval(3.0), CountTestFunction(count_f_rule)
+        xis = [make_xi(3.0, 2), make_xi(3.0, 1)]
+        monkeypatch.setattr(coupling, "_run_batch", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(ValueError, match="floor"):
+            stein_residuals(f, xis, 2, space, 10, [1, 2])
+        with pytest.raises(ValueError, match="one seed per"):
+            stein_residuals(f, xis[:1], 1, space, 10, [1, 2])
+        with pytest.raises(ValueError, match="2 replicas"):
+            stein_residuals(f, xis[:1], 1, space, 1, [1])
+
     def test_pi_f_matches_count_law(self):
         space = unit_interval(3.0)
         f = CountTestFunction(count_f_rule)
@@ -482,8 +515,8 @@ class TestStreamFamilyReplicas:
         initial = self.initial(kind)
         # Batches of 5, 5 and 1: the last is a batch of one.
         monkeypatch.setattr(coupling, "_BATCH_ROWS", 5)
-        got = coupling._run_replicas(
-            initial, [1, 1], coefficients, f, self.space, 11, 21, max_events=max_events
+        (got,) = coupling._run_replicas(
+            [(initial, 21, 11)], [1, 1], coefficients, f, self.space, max_events=max_events
         )
         want = replica_runs_one_by_one(
             run_coupled_chains, derive_stream, initial, [1, 1], coefficients, f,
@@ -513,8 +546,8 @@ class TestStreamFamilyReplicas:
 
         monkeypatch.setattr(RandomStream, "uniforms", counted)
         monkeypatch.setattr(coupling, "_BATCH_ROWS", 5)
-        got = coupling._run_replicas(
-            initial, [1, 1], (1.0, -1.0), f, space, 11, 22,
+        (got,) = coupling._run_replicas(
+            [(initial, 22, 11)], [1, 1], (1.0, -1.0), f, space,
             max_events=coupling.DEFAULT_EVENT_CAP,
         )
         assert len(reads) > 11  # a first block per replica, then refills
@@ -524,6 +557,34 @@ class TestStreamFamilyReplicas:
         )
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("functional", ["count", "matching"])
+    def test_jobs_in_one_call_match_one_by_one(self, functional, monkeypatch):
+        # Three estimates in one call, batches of 5 rows: batches straddle
+        # every job boundary, and each job gets back exactly its own rows.
+        f = CountTestFunction(count_f_rule) if functional == "count" else (
+            reference_test_functions(self.space)[2]
+        )
+        jobs = [(self.initial("alpha"), 31, 7), (self.initial("list"), 32, 2),
+                (self.initial("partner"), 33, 9)]
+        monkeypatch.setattr(coupling, "_BATCH_ROWS", 5)
+        got = coupling._run_replicas(
+            jobs, [1, 1], (1.0, -1.0), f, self.space, max_events=coupling.DEFAULT_EVENT_CAP
+        )
+        assert len(got) == len(jobs)
+        for runs, (initial, seed, replicas) in zip(got, jobs):
+            want = replica_runs_one_by_one(
+                run_coupled_chains, derive_stream, initial, [1, 1], (1.0, -1.0), f,
+                self.space, replicas, seed, coupling.DEFAULT_EVENT_CAP,
+            )
+            for g, w in zip(runs, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_a_job_below_two_replicas_is_refused_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(coupling, "_run_batch", lambda *a, **k: pytest.fail("ran"))
+        jobs = [(self.initial("list"), 1, 5), (self.initial("list"), 2, 1)]
+        with pytest.raises(ValueError, match="2 replicas"):
+            coupling._run_replicas(jobs, [1, 1], None, None, self.space, max_events=10)
 
     def test_pi_f_refuses_a_negative_stream_offset(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -50,9 +50,20 @@ class TestSteinBattery:
 
     def test_size_below_floor_rejected(self, monkeypatch):
         # before any row runs, not when the loop reaches the bad size
-        monkeypatch.setattr(verify, "stein_residual", _must_not_run)
+        monkeypatch.setattr(verify, "stein_residuals", _must_not_run)
         with pytest.raises(ValueError, match="floor"):
             verify.verify_stein(lam=2.0, m=2, sizes=(2, 3, 1), replicas=500)
+
+    def test_no_sizes_rejected(self, monkeypatch):
+        # an empty battery would pass with no rows
+        monkeypatch.setattr(verify, "stein_residuals", _must_not_run)
+        with pytest.raises(ValueError, match="sizes"):
+            verify.verify_stein(lam=2.0, m=1, sizes=(), replicas=500)
+
+    def test_negative_floor_rejected(self, monkeypatch):
+        monkeypatch.setattr(verify, "stein_residuals", _must_not_run)
+        with pytest.raises(ValueError, match="^m must be nonnegative"):
+            verify.verify_stein(lam=2.0, m=-1, replicas=500)
 
 
 class TestDeltaBoundsBattery:
