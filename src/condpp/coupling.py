@@ -8,8 +8,10 @@ when it fires the identity is removed from every chain that holds it and is
 not pinned at its floor.  Identities retained only by floored chains simply
 keep their memoryless clock.  Each chain in isolation is then an exact
 conditional immigration-death chain, coalescence (identical identity sets)
-is absorbing, and chains ordered by inclusion stay ordered, which gives the
-pathwise domination used by the tests.
+is absorbing, and chains ordered by inclusion stay ordered.  The tests check
+these pathwise properties on a scalar union race that runs one event at a
+time (tests/oracles.coupled_chain_events), which the engine matches bit for
+bit.
 
 The engine runs all replicas of a battery as one numpy batch, one event a
 step.  Each replica reads its own RandomStream, derived from its estimate's
@@ -22,9 +24,10 @@ Each replica integrates a contrast of a test function:
   delta_h      -mean int f(Z_{xi+a}) - f(Z_xi) dt            (2 chains)
   delta2_h     -mean int f(Z_{xi+a+b}) - f(Z_{xi+a}) - ...   (4 chains)
   h            -mean int f(Z_xi) - f(Z_W) dt, W stationary   (2 chains)
-Runs stop at coalescence, where the contrast vanishes identically.  Every
-estimator honours max_events: replicas hitting the event cap are flagged and
-inflated conservatively, and an estimate is refused when every replica hits it.
+Runs stop at coalescence, where the contrast vanishes identically, or run to
+a horizon when given one.  Every estimator honours max_events: replicas
+hitting the event cap are flagged and inflated conservatively, and an
+estimate is refused when every replica hits it.
 """
 
 from __future__ import annotations
@@ -50,11 +53,8 @@ __all__ = [
     "CountTestFunction",
     "MatchingDistanceTestFunction",
     "reference_test_functions",
-    "CoupledState",
     "CoupledRun",
     "run_coupled_chains",
-    "simulate_coupled_pair",
-    "simulate_domination_triple",
     "estimate_coalescence_time",
     "estimate_delta_h",
     "estimate_delta2_h",
@@ -178,20 +178,6 @@ def reference_test_functions(space: GroundSpace) -> tuple[TestFunction, ...]:
 
 
 @dataclass(frozen=True)
-class CoupledState:
-    """Snapshot of all chains at one event time.
-
-    matched_tags are the identities present in every chain; a point is
-    unmatched in a chain when its tag is missing from this set.
-    """
-
-    time: float
-    configurations: tuple[Configuration, ...]
-    matched_tags: frozenset
-    coalesced: bool
-
-
-@dataclass(frozen=True)
 class CoupledRun:
     """Outcome of one coupled simulation."""
 
@@ -201,7 +187,6 @@ class CoupledRun:
     coalescence_time: float | None
     capped: bool
     final_counts: tuple[int, ...]
-    states: tuple[CoupledState, ...] | None = None
 
 
 def _start(initial, floors, dim: int) -> tuple[list, list, list]:
@@ -221,28 +206,24 @@ def _start(initial, floors, dim: int) -> tuple[list, list, list]:
     return list(masks), list(masks.values()), list(locs.values())
 
 
-def _run_batch(
-    starts, streams, floors, space, coefficients, f, *,
-    horizon=None, stop_on_coalescence=True, max_events, record=False,
-):
+def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None, max_events):
     """The engine: row r runs from starts[r] on streams[r], all rows in step.
 
-    A location takes `dimension` uniforms, a victim one.  Each row's stream
-    is read ahead in blocks, a first block of _READ_AHEAD and then refills
-    as wide as the block already held; a batch of one steps its stream back
-    over the unread rest, so the stream stands after the run's last draw.
-    Tags and locations are kept when a location functional or record needs
-    them, and chains list their identities by tag.  Returns per-row integral, elapsed, events,
-    coalescence time (NaN if none), capped and final counts, plus the
-    states of a recorded batch of one.
+    Rows stop at coalescence, or with a horizon run to it.  A location takes
+    `dimension` uniforms, a victim one.  Each row's stream is read ahead in
+    blocks, a first block of _READ_AHEAD and then refills as wide as the
+    block already held; a batch of one steps its stream back over the unread
+    rest, so the stream stands after the run's last draw.  Tags and
+    locations are kept only for a location functional, which sees a chain's
+    locations in tag order.  Returns per-row integral, elapsed, events,
+    coalescence time (NaN if none), capped and final counts.
     """
     k, rows, dim, lam = len(floors), len(starts), space.dimension, space.total_mass
     full, bits = (1 << k) - 1, np.left_shift(1, np.arange(k, dtype=np.int64))
     floor = np.asarray(floors)[:, None]
     coef = np.zeros((k, 1)) if coefficients is None else np.asarray(coefficients, float)[:, None]
     use_f = f is not None and bool(coef.any())
-    by_count = use_f and not f.needs_locations
-    keep_locs = record or (use_f and f.needs_locations)
+    by_count, keep_locs = use_f and not f.needs_locations, use_f and f.needs_locations
     begun = []
     for i, s in enumerate(starts):  # rows sharing one list of chains read it once
         begun.append(begun[-1] if i and s is starts[i - 1] else _start(s, floors, dim))
@@ -267,37 +248,28 @@ def _run_batch(
     coalesced = lambda: counts.min(axis=0) == nlive
     table, reads = np.empty(0), np.arange(3)[:, None]
 
-    def members(i: int, c: int) -> tuple:
-        slots = (mask[here[i], : nlive[i]] & bits[c]).nonzero()[0]
-        return here[i], slots[tag[here[i], slots].argsort()]
-
-    def snapshot(time: float) -> CoupledState:
-        cfgs = (Configuration(tuple(tag[m]), loc[m]) for m in (members(0, c) for c in range(k)))
-        live = (here[0], slice(0, nlive[0]))
-        matched = frozenset(tag[live][mask[live] == full].tolist())
-        return CoupledState(time, tuple(cfgs), matched, bool(coalesced()[0]))
-
     def refresh(changed: np.ndarray) -> None:  # location functionals, per changed chain
         rows_changed = changed.nonzero()[0]
         for i, chains in zip(rows_changed.tolist(), changed[rows_changed].tolist()):
+            row = here[i]
             for c in range(k):
                 if chains >> c & 1:
-                    fvals[c, i] = f.from_locations(loc[members(i, c)])
+                    slots = (mask[row, : nlive[i]] & bits[c]).nonzero()[0]
+                    fvals[c, i] = f.from_locations(loc[row, slots[tag[row, slots].argsort()]])
         phi[rows_changed] = (coef * fvals[:, rows_changed]).sum(axis=0)
 
-    if use_f and not by_count:
+    if keep_locs:
         refresh(np.full(rows, full))
-    states = [snapshot(0.0)] if record else None
     out_F, out_I = np.zeros_like(F), np.zeros_like(I)
     out_events, out_capped = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
     for step in itertools.count():
-        if not stop_on_coalescence:
+        if horizon is not None:
             np.copyto(tau, t, where=coalesced() & np.isnan(tau))
         if by_count:  # counts never exceed the mask width
             if table.size <= mask.shape[1]:
                 table = np.array([f.from_count(j) for j in range(mask.shape[1] + 1)], dtype=float)
             np.sum(coef * table[counts], axis=0, out=phi)
-        done = hold = coalesced() & stop_on_coalescence
+        done = hold = coalesced() & (horizon is None)
         if step >= max_events:
             out_capped[row_id] = ~hold
             done = np.ones_like(hold)
@@ -351,14 +323,11 @@ def _run_batch(
             mask[row, last], nlive[gone] = 0, last
         nlive += imm
         pos += np.where(imm, 2 + dim, 3)
-        if use_f and not by_count:
+        if keep_locs:
             refresh(np.where(imm, full, drop))
-        if record:
-            states.append(snapshot(float(t[0])))
     if rows == 1:
         streams[0]._unread(U.shape[1] - pos[0])
-    return (*out_F[[1, 0]], out_events, out_F[3], out_capped, out_I[5:].T,
-            tuple(states) if record else None)
+    return *out_F[[1, 0]], out_events, out_F[3], out_capped, out_I[5:].T
 
 
 def run_coupled_chains(
@@ -369,9 +338,7 @@ def run_coupled_chains(
     coefficients: tuple[float, ...] | None = None,
     test_function: TestFunction | None = None,
     horizon: float | None = None,
-    stop_on_coalescence: bool = True,
     max_events: int = DEFAULT_EVENT_CAP,
-    record: bool = False,
 ) -> CoupledRun:
     """Drive K chains through the shared union-race event stream.
 
@@ -379,23 +346,24 @@ def run_coupled_chains(
     points (shared tags must agree on location).  floors[c] is the floor m
     of chain c; every initial configuration must sit at or above its floor.
     The integral accumulated is int sum_c coefficients[c] f(chain c) dt,
-    piecewise constant between events.
+    piecewise constant between events.  Without a horizon the run stops at
+    coalescence; with one it runs to the horizon, and the coalescence time
+    is the first time the chains agree.
     """
     if not initial or len(floors) != len(initial):
         raise ValueError("need one floor per chain")
-    if horizon is None and not stop_on_coalescence:
-        raise ValueError("need a horizon when not stopping at coalescence")
+    if horizon is not None and not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
     if coefficients is not None and len(coefficients) != len(initial):
         raise ValueError("need one coefficient per chain")
-    *run, states = _run_batch(
+    run = _run_batch(
         [initial], [stream], floors, space, coefficients, test_function,
-        horizon=horizon, stop_on_coalescence=stop_on_coalescence,
-        max_events=max_events, record=record,
+        horizon=horizon, max_events=max_events,
     )
     integral, elapsed, events, tau, capped, counts = (a[0] for a in run)
     return CoupledRun(
         float(integral), float(elapsed), int(events), None if np.isnan(tau) else float(tau),
-        bool(capped), tuple(counts.tolist()), states,
+        bool(capped), tuple(counts.tolist()),
     )
 
 
@@ -403,43 +371,6 @@ def _pair_initials(xi: Configuration, alpha_location) -> list[Configuration]:
     """[xi + alpha, xi], tagged so that xi's points are matched in both."""
     base = Configuration(tuple(range(xi.size)), xi.locations)
     return [base.with_point(xi.size, alpha_location), base]
-
-
-def simulate_coupled_pair(
-    xi: Configuration,
-    alpha_location,
-    m: int,
-    space: GroundSpace,
-    stream: RandomStream,
-    horizon: float | None = None,
-    max_events: int = DEFAULT_EVENT_CAP,
-) -> CoupledRun:
-    """Recorded coupled run of Z_{xi+alpha} against Z_xi (both floored at m)."""
-    return run_coupled_chains(
-        _pair_initials(xi, alpha_location), [m, m], space, stream, horizon=horizon,
-        stop_on_coalescence=horizon is None, max_events=max_events, record=True,
-    )
-
-
-def simulate_domination_triple(
-    xi: Configuration,
-    m: int,
-    horizon: float,
-    space: GroundSpace,
-    stream: RandomStream,
-    max_events: int = DEFAULT_EVENT_CAP,
-) -> CoupledRun:
-    """Coupled (Z^(m) from xi, Z^(0) from xi, Z^(0) from empty) to a horizon.
-
-    Under the shared event stream the three populations are ordered
-    pathwise; the recorded states let tests check it event by event.
-    """
-    base = Configuration(tuple(range(xi.size)), xi.locations)
-    empty = Configuration((), np.zeros((0, space.dimension)))
-    return run_coupled_chains(
-        [base, base, empty], [m, 0, 0], space, stream, horizon=horizon,
-        stop_on_coalescence=False, max_events=max_events, record=True,
-    )
 
 
 def _run_replicas(

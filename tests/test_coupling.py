@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -17,8 +19,6 @@ from condpp.coupling import (
     p_survival_analytic,
     reference_test_functions,
     run_coupled_chains,
-    simulate_coupled_pair,
-    simulate_domination_triple,
     stein_residual,
     stein_residuals,
 )
@@ -34,7 +34,7 @@ from condpp.groundspace import (
 from condpp.metrics import d1_bar
 from condpp.simulate import sample_conditional_poisson
 from condpp.verify import verify_delta_bounds
-from oracles import count_chain_h, replica_runs_one_by_one
+from oracles import count_chain_h, coupled_chain_events, replica_runs_one_by_one
 
 
 def count_f_rule(j):
@@ -49,6 +49,41 @@ def log_rule(j):
 def make_xi(lam, size, seed=0):
     space = unit_interval(lam)
     return configuration_from_locations(space.sample(derive_stream(seed, 123), size))
+
+
+def on_locations(f):
+    """f as the scalar oracle calls it: on one chain's locations in tag order."""
+    if f is None:
+        return None
+    if f.needs_locations:
+        return f.from_locations
+    return lambda locs: f.from_count(len(locs))
+
+
+def engine_and_oracle(initial, floors, space, key, coefficients=None, f=None, **run):
+    """The engine's run on derive_stream(*key) and the oracle's states.
+
+    The oracle runs on a twin stream; both runs must agree bit for bit, and
+    both streams must stand at the same place afterwards.
+    """
+    stream, twin = derive_stream(*key), derive_stream(*key)
+    got = run_coupled_chains(initial, floors, space, stream, coefficients, f, **run)
+    want, states = coupled_chain_events(
+        initial, floors, space.total_mass, twin, space.sample, coefficients, on_locations(f),
+        run.get("horizon"), run.get("max_events", coupling.DEFAULT_EVENT_CAP),
+    )
+    assert dataclasses.astuple(got) == want
+    np.testing.assert_array_equal(stream.uniforms(5), twin.uniforms(5))
+    return got, states
+
+
+def coalesced(chains):
+    return len(set(chains)) == 1
+
+
+def domination_triple(xi):
+    """Starts of (Z^(m) from xi, Z^(0) from xi, Z^(0) from empty), floors (m, 0, 0)."""
+    return [xi, xi, empty_configuration(xi.dimension)]
 
 
 class TestTestFunctions:
@@ -107,55 +142,49 @@ class TestTestFunctions:
 
 
 class TestCoupledRunMechanics:
+    """Pathwise properties of the union race, checked on the oracle's states;
+    engine_and_oracle carries each to the engine."""
+
     def test_pair_stops_at_coalescence(self):
         space = unit_interval(2.0)
         xi = make_xi(2.0, 2)
-        run = simulate_coupled_pair(xi, np.array([0.4]), 1, space, derive_stream(3, 0))
+        initial = coupling._pair_initials(xi, np.array([0.4]))
+        run, states = engine_and_oracle(initial, [1, 1], space, (3, 0))
         assert run.coalescence_time is not None
         assert run.coalescence_time == run.elapsed
         assert not run.capped
         assert run.final_counts[0] == run.final_counts[1]
-        assert run.states[-1].coalesced
+        assert coalesced(states[-1][1])
 
     def test_coalesced_state_is_absorbing(self):
         space = unit_interval(2.0)
         xi = make_xi(2.0, 2, seed=5)
         upper = xi.with_point(99, np.array([0.3]))
-        run = run_coupled_chains(
-            [upper, xi],
-            [1, 1],
-            space,
-            derive_stream(4, 0),
-            horizon=12.0,
-            stop_on_coalescence=False,
-            record=True,
-        )
-        seen = False
-        for state in run.states:
-            if seen:
-                assert state.coalesced
-                assert state.configurations[0] == state.configurations[1]
-            seen = seen or state.coalesced
-        assert seen  # twelve mean lifetimes is plenty at lam = 2
+        run, states = engine_and_oracle([upper, xi], [1, 1], space, (4, 0), horizon=12.0)
+        merged = [coalesced(chains) for _, chains in states]
+        assert any(merged)  # twelve mean lifetimes is plenty at lam = 2
+        assert all(merged[merged.index(True):])
+        assert run.coalescence_time == states[merged.index(True)][0]
 
     def test_coalescence_time_is_first_merge(self):
         space = unit_interval(2.0)
         xi = make_xi(2.0, 1, seed=6)
-        run = simulate_coupled_pair(xi, np.array([0.8]), 1, space, derive_stream(5, 0))
-        pre = [s for s in run.states if s.time < run.coalescence_time]
-        assert all(not s.coalesced for s in pre)
+        initial = coupling._pair_initials(xi, np.array([0.8]))
+        run, states = engine_and_oracle(initial, [1, 1], space, (5, 0))
+        pre = [chains for time, chains in states if time < run.coalescence_time]
+        assert all(not coalesced(chains) for chains in pre)
 
     def test_shared_immigrations_enter_every_chain(self):
         space = unit_interval(3.0)
         xi = make_xi(3.0, 2, seed=7)
-        run = simulate_coupled_pair(xi, np.array([0.5]), 1, space, derive_stream(6, 0))
-        for state in run.states:
-            tags0 = set(state.configurations[0].tags)
-            tags1 = set(state.configurations[1].tags)
-            for tag in state.matched_tags:
-                assert tag in tags0 and tag in tags1
-            # the pair differs by unmatched points only
-            assert tags0.symmetric_difference(tags1).isdisjoint(state.matched_tags)
+        initial = coupling._pair_initials(xi, np.array([0.5]))
+        _, states = engine_and_oracle(initial, [1, 1], space, (6, 0))
+        arrivals = 0
+        for (_, before), (_, after) in zip(states, states[1:]):
+            new = set().union(*after) - set().union(*before)
+            assert all(new <= set(chain) for chain in after)
+            arrivals += len(new)
+        assert arrivals
 
     def test_event_cap_flags_run(self):
         space = unit_interval(2.0)
@@ -184,8 +213,7 @@ class TestCoupledRunMechanics:
         finals = np.empty(8000, dtype=int)
         for r in range(finals.size):
             run = run_coupled_chains(
-                [init], [m], space, derive_stream(71, r),
-                horizon=t, stop_on_coalescence=False,
+                [init], [m], space, derive_stream(71, r), horizon=t,
             )
             finals[r] = run.final_counts[0]
         states, law = transient_count_law(lam, m, start, t, top=60)
@@ -198,9 +226,15 @@ class TestCoupledRunMechanics:
         # must be the next ones the stream hands out.
         space = unit_cube(3.0, dim)
         xi = configuration_from_locations(space.sample(derive_stream(9, 0), 2))
+        initial = coupling._pair_initials(xi, np.full(dim, 0.5))
         stream = derive_stream(12, dim)
-        run = simulate_coupled_pair(xi, np.full(dim, 0.5), 1, space, stream, horizon=horizon)
-        seen = [set().union(*(c.tags for c in s.configurations)) for s in run.states]
+        run = run_coupled_chains(initial, [1, 1], space, stream, horizon=horizon)
+        _, states = coupled_chain_events(
+            initial, [1, 1], space.total_mass, derive_stream(12, dim), space.sample,
+            horizon=horizon,
+        )
+        assert len(states) == run.events + 1
+        seen = [set().union(*chains) for _, chains in states]
         arrivals = sum(1 for a, b in zip(seen, seen[1:]) if b - a)
         # holding time and event type, then a location or a victim uniform;
         # a horizon also takes the holding time that overshoots it
@@ -212,10 +246,12 @@ class TestCoupledRunMechanics:
         space = unit_interval(2.0)
         with pytest.raises(ValueError):
             run_coupled_chains([make_xi(2.0, 1)], [2], space, derive_stream(0, 0))
-        with pytest.raises(ValueError):
+
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan, math.inf])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
             run_coupled_chains(
-                [make_xi(2.0, 1)], [0], space, derive_stream(0, 0),
-                stop_on_coalescence=False,
+                [make_xi(2.0, 1)], [0], unit_interval(2.0), derive_stream(0, 0), horizon=horizon
             )
 
     def test_conflicting_shared_tag_locations_rejected(self):
@@ -226,25 +262,68 @@ class TestCoupledRunMechanics:
             run_coupled_chains([a, b], [0, 0], space, derive_stream(0, 0))
 
 
+class TestEngineAgainstOracle:
+    """The engine against the scalar union race (oracles.coupled_chain_events)
+    bit for bit: integral, elapsed, events, coalescence time, capped flag,
+    final counts and where the run leaves its stream."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("functional", ["count", "matching", "none"])
+    def test_engine_matches_the_scalar_oracle(self, functional, k, dim):
+        space = unit_cube(3.0, dim)
+        at = space.sample(derive_stream(99, dim), 5)
+        # Nested, overlapping and empty starts, under floors that bind.
+        initial = [
+            Configuration((0, 1, 2, 10), at[:4]),
+            Configuration((0, 1, 2), at[:3]),
+            Configuration((1, 2, 11), at[[1, 2, 4]]),
+            empty_configuration(dim),
+        ][:k]
+        floors = [2, 1, 1, 0][:k]
+        f = {
+            "count": CountTestFunction(count_f_rule),
+            "matching": reference_test_functions(space)[2],
+            "none": None,
+        }[functional]
+        coefficients = None if f is None else (1.0, -1.0, -1.0, 1.0)[:k]
+        runs = [
+            engine_and_oracle(
+                initial, floors, space, (7, seed), coefficients, f,
+                horizon=horizon, max_events=max_events,
+            )[0]
+            for horizon, max_events, seed in itertools.product(
+                (None, 2.0), (coupling.DEFAULT_EVENT_CAP, 6), range(3)
+            )
+        ]
+        assert any(run.capped for run in runs) and not all(run.capped for run in runs)
+
+
 class TestDominationTriple:
+    """Under the shared event stream (Z^(m) from xi, Z^(0) from xi, Z^(0)
+    from empty) stay ordered, event by event on the oracle's states."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_counts_ordered_pathwise(self, seed):
         space = unit_interval(2.0)
         xi = make_xi(2.0, 3, seed=seed)
-        run = simulate_domination_triple(xi, 2, 6.0, space, derive_stream(30, seed))
-        for state in run.states:
-            floored, free, from_empty = (c.size for c in state.configurations)
+        run, states = engine_and_oracle(
+            domination_triple(xi), [2, 0, 0], space, (30, seed), horizon=6.0
+        )
+        for _, chains in states:
+            floored, free, from_empty = map(len, chains)
             assert floored >= free >= from_empty
         assert run.final_counts[0] >= run.final_counts[1] >= run.final_counts[2]
 
     def test_contained_identities(self):
         space = unit_interval(2.0)
         xi = make_xi(2.0, 3, seed=11)
-        run = simulate_domination_triple(xi, 2, 5.0, space, derive_stream(31, 0))
-        for state in run.states:
-            floored, free, from_empty = state.configurations
-            assert set(free.tags) <= set(floored.tags)
-            assert set(from_empty.tags) <= set(free.tags)
+        _, states = engine_and_oracle(
+            domination_triple(xi), [2, 0, 0], space, (31, 0), horizon=5.0
+        )
+        for _, (floored, free, from_empty) in states:
+            assert set(free) <= set(floored)
+            assert set(from_empty) <= set(free)
 
 
 class TestEstimatorsAgainstCountChain:
@@ -480,8 +559,9 @@ class TestPSurvival:
 
 class TestStreamFamilyReplicas:
     """The replica driver reads the streams derive_streams(seed, ...) seeds a
-    batch at a time; it must equal run_coupled_chains looped over
-    derive_stream(seed, r), bit for bit."""
+    batch at a time; it must equal the scalar union race
+    (oracles.coupled_chain_events) looped over derive_stream(seed, r), bit
+    for bit."""
 
     @classmethod
     def setup_class(cls):
@@ -519,8 +599,8 @@ class TestStreamFamilyReplicas:
             [(initial, 21, 11)], [1, 1], coefficients, f, self.space, max_events=max_events
         )
         want = replica_runs_one_by_one(
-            run_coupled_chains, derive_stream, initial, [1, 1], coefficients, f,
-            self.space, 11, 21, max_events,
+            derive_stream, initial, [1, 1], coefficients, on_locations(f),
+            self.space.total_mass, self.space.sample, 11, 21, max_events,
         )
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
@@ -552,8 +632,8 @@ class TestStreamFamilyReplicas:
         )
         assert len(reads) > 11  # a first block per replica, then refills
         want = replica_runs_one_by_one(
-            run_coupled_chains, derive_stream, initial, [1, 1], (1.0, -1.0), f,
-            space, 11, 22, coupling.DEFAULT_EVENT_CAP,
+            derive_stream, initial, [1, 1], (1.0, -1.0), on_locations(f),
+            space.total_mass, space.sample, 11, 22, coupling.DEFAULT_EVENT_CAP,
         )
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
@@ -574,8 +654,9 @@ class TestStreamFamilyReplicas:
         assert len(got) == len(jobs)
         for runs, (initial, seed, replicas) in zip(got, jobs):
             want = replica_runs_one_by_one(
-                run_coupled_chains, derive_stream, initial, [1, 1], (1.0, -1.0), f,
-                self.space, replicas, seed, coupling.DEFAULT_EVENT_CAP,
+                derive_stream, initial, [1, 1], (1.0, -1.0), on_locations(f),
+                self.space.total_mass, self.space.sample, replicas, seed,
+                coupling.DEFAULT_EVENT_CAP,
             )
             for g, w in zip(runs, want):
                 np.testing.assert_array_equal(g, w)
@@ -685,10 +766,12 @@ class TestDrawOrderPinned:
         assert [call() for call in calls] == whole
 
     def test_recorded_triple_to_a_horizon(self):
-        run = simulate_domination_triple(self.xi, 2, 4.0, self.space, derive_stream(32, 0))
+        run, states = engine_and_oracle(
+            domination_triple(self.xi), [2, 0, 0], self.space, (32, 0), horizon=4.0
+        )
         assert (run.events, run.final_counts, run.elapsed) == (29, (2, 0, 0), 4.0)
         assert run.coalescence_time is None and not run.capped
-        sizes = [tuple(c.size for c in state.configurations) for state in run.states]
+        sizes = [tuple(map(len, chains)) for _, chains in states]
         assert sizes == [
             (2, 2, 0), (2, 1, 0), (3, 2, 1), (4, 3, 2), (5, 4, 3), (4, 3, 2),
             (5, 4, 3), (6, 5, 4), (7, 6, 5), (8, 7, 6), (7, 6, 5), (8, 7, 6),
@@ -696,7 +779,7 @@ class TestDrawOrderPinned:
             (3, 3, 2), (4, 4, 3), (3, 3, 2), (2, 2, 1), (2, 1, 1), (2, 1, 1),
             (2, 0, 0), (3, 1, 1), (2, 1, 1), (2, 0, 0), (3, 1, 1), (2, 0, 0),
         ]
-        assert [c.tags for c in run.states[-1].configurations] == [(0, 12), (), ()]
+        assert states[-1][1] == ((0, 12), (), ())
 
     def test_matching_functional_estimators(self):
         xi, a, b, space = self.xi, self.a, self.b, self.space

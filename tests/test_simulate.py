@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from condpp.coupling import run_coupled_chains
+from condpp.coupling import reference_test_functions, run_coupled_chains
 from condpp.groundspace import (
     Configuration,
     configuration_from_locations,
@@ -320,10 +320,10 @@ class TestTrajectory:
         xi = configuration_from_locations([[0.5]])
         with pytest.raises(ValueError, match="uniforms a point"):
             simulate_cid_chain(xi, 0, 5.0, space, derive_stream(3, 0))
-        with pytest.raises(ValueError, match="uniforms a point"):
+        with pytest.raises(ValueError, match="uniforms a point"):  # a matching f places points
             run_coupled_chains(
-                [xi, xi], [0, 0], space, derive_stream(3, 0), horizon=5.0,
-                stop_on_coalescence=False, record=True,
+                [xi, xi], [0, 0], space, derive_stream(3, 0), (1.0, -1.0),
+                reference_test_functions(space)[2], horizon=5.0,
             )
 
     @pytest.mark.parametrize("dim,seed", [(1, 14), (2, 15)])
