@@ -39,13 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _upper_tail_sum, poisson_pmf, poisson_tail, poisson_tail_ratio
+from .bounds import _upper_tail_sum, poisson_tail_ratio
 from .estimates import MCEstimate
 from .groundspace import (
     Configuration, GroundSpace, RandomStream, _Drawn, derive_stream, derive_streams,
 )
 from .metrics import _d1_pair_locs
-from .simulate import sample_conditional_poisson
+from .simulate import _conditional_count, sample_conditional_poisson
 
 __all__ = [
     "TestFunction",
@@ -189,8 +189,9 @@ class CoupledRun:
     final_counts: tuple[int, ...]
 
 
-def _start(initial, floors, dim: int) -> tuple[list, list, list]:
-    """Tags, chain masks and locations of one row's identities, first seen first."""
+def _start(initial, floors, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The start row of a list of chains: its identities' tags, chain masks
+    (bit c for chain c) and (n, dim) locations, first seen first."""
     locs, masks = {}, {}
     for c, cfg in enumerate(initial):
         if cfg.dimension != dim:
@@ -203,13 +204,18 @@ def _start(initial, floors, dim: int) -> tuple[list, list, list]:
             elif not np.array_equal(locs[tag], loc):
                 raise ValueError(f"tag {tag} has conflicting locations")
             masks[tag] |= 1 << c
-    return list(masks), list(masks.values()), list(locs.values())
+    return (
+        np.array(list(masks), dtype=np.int64), np.array(list(masks.values()), dtype=np.int64),
+        np.reshape(list(locs.values()), (-1, dim)),
+    )
 
 
 def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None, max_events):
     """The engine: row r runs from starts[r] on streams[r], all rows in step.
 
-    Rows stop at coalescence, or with a horizon run to it.  A location takes
+    A start is a row's (tags, chain masks, locations) as _start gives them;
+    consecutive rows that share one start object are filled together.  Rows
+    stop at coalescence, or with a horizon run to it.  A location takes
     `dimension` uniforms, a victim one.  Each row's stream is read ahead in
     blocks, a first block of _READ_AHEAD and then refills as wide as the
     block already held; a batch of one steps its stream back over the unread
@@ -224,9 +230,7 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
     coef = np.zeros((k, 1)) if coefficients is None else np.asarray(coefficients, float)[:, None]
     use_f = f is not None and bool(coef.any())
     by_count, keep_locs = use_f and not f.needs_locations, use_f and f.needs_locations
-    begun = []
-    for i, s in enumerate(starts):  # rows sharing one list of chains read it once
-        begun.append(begun[-1] if i and s is starts[i - 1] else _start(s, floors, dim))
+    firsts = [i for i in range(rows) if not i or starts[i] is not starts[i - 1]]
     # A row per quantity, so stopped rows leave by one take per array.  Floats:
     # t, integral, phi, tau, f of each chain.  Ints: stream position, live
     # identities, next tag, row number, row in the wide arrays U, mask, tag and
@@ -234,16 +238,18 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
     F, I = np.zeros((4 + k, rows)), np.zeros((5 + k, rows), dtype=np.int64)
     views = lambda: (*F[:4], F[4:], *I[:5], I[5:])
     t, integral, phi, tau, fvals, pos, nlive, born, row_id, here, counts = views()
-    nlive[:], tau[:] = [len(b[0]) for b in begun], np.nan
+    tau[:] = np.nan
     U = np.stack([s.uniforms(_READ_AHEAD) for s in streams])
     row_id[:] = here[:] = range(rows)
-    mask = np.zeros((rows, int(nlive.max()) + 8), dtype=np.int64)
+    mask = np.zeros((rows, max(len(starts[i][0]) for i in firsts) + 8), dtype=np.int64)
     tag = np.zeros_like(mask) if keep_locs else None
     loc = np.zeros(mask.shape + (dim,)) if keep_locs else None
-    for i, (tags, masks, locs) in enumerate(begun):
-        mask[i, : len(tags)], born[i] = masks, max(tags, default=-1) + 1
+    for at, end in zip(firsts, firsts[1:] + [rows]):
+        tags, masks, locs = starts[at]
+        n = len(tags)
+        mask[at:end, :n], born[at:end], nlive[at:end] = masks, tags.max(initial=-1) + 1, n
         if keep_locs:
-            tag[i, : len(tags)], loc[i, : len(tags)] = tags, np.reshape(locs, (-1, dim))
+            tag[at:end, :n], loc[at:end, :n] = tags, locs
     counts[:] = ((mask & bits[:, None, None]) != 0).sum(axis=2)
     coalesced = lambda: counts.min(axis=0) == nlive
     table, reads = np.empty(0), np.arange(3)[:, None]
@@ -357,14 +363,26 @@ def run_coupled_chains(
     if coefficients is not None and len(coefficients) != len(initial):
         raise ValueError("need one coefficient per chain")
     run = _run_batch(
-        [initial], [stream], floors, space, coefficients, test_function,
-        horizon=horizon, max_events=max_events,
+        [_start(initial, floors, space.dimension)], [stream], floors, space, coefficients,
+        test_function, horizon=horizon, max_events=max_events,
     )
     integral, elapsed, events, tau, capped, counts = (a[0] for a in run)
     return CoupledRun(
         float(integral), float(elapsed), int(events), None if np.isnan(tau) else float(tau),
         bool(capped), tuple(counts.tolist()),
     )
+
+
+def _check_inputs(xi: Configuration, m: int, space: GroundSpace, **points) -> None:
+    """Refuse xi off the space's dimension or below the floor m, and a named
+    point that is not one point of the space's dimension."""
+    if xi.dimension != space.dimension:
+        raise ValueError("xi's dimension does not match the space")
+    if xi.size < m:
+        raise ValueError("xi must sit at or above the floor m")
+    for name, point in points.items():
+        if np.size(point) != space.dimension:
+            raise ValueError(f"{name} must be one point of the space's dimension")
 
 
 def _pair_initials(xi: Configuration, alpha_location) -> list[Configuration]:
@@ -383,8 +401,9 @@ def _run_replicas(
     floors, coefficients, f and event cap.  Replica r of a job reads the
     derived stream (seed, r); derive_streams seeds a job's streams of a
     batch together.  initial is either the list of starting configurations
-    shared by every replica of the job, or a callable (r, stream) that draws
-    replica r's configurations from its stream before the run reads it.
+    shared by every replica of the job, checked and decoded into one start
+    row (_start) before any run, or a callable (r, stream) that returns
+    replica r's start row, drawing from its stream before the run reads it.
     The jobs' rows run end to end in batches of at most _BATCH_ROWS rows,
     which bounds the engine's per-row arrays (read-ahead uniforms, chain
     masks, locations); every row reads only its own stream, so its results
@@ -394,6 +413,10 @@ def _run_replicas(
     """
     if any(replicas < 2 for _, _, replicas in jobs):
         raise ValueError("need at least 2 replicas")
+    jobs = [
+        (initial if callable(initial) else _start(initial, floors, space.dimension), seed, n)
+        for initial, seed, n in jobs
+    ]
     bounds = list(itertools.accumulate((replicas for _, _, replicas in jobs), initial=0))
     spans = list(zip(bounds, bounds[1:]))
     parts = []
@@ -403,10 +426,10 @@ def _run_replicas(
             keys = range(max(lo, first) - first, min(lo + _BATCH_ROWS, end) - first)
             batch = derive_streams(seed, keys)
             streams += batch
-            starts += [
-                initial(r, stream) if callable(initial) else initial
-                for r, stream in zip(keys, batch)
-            ]
+            starts += (
+                [initial(r, stream) for r, stream in zip(keys, batch)]
+                if callable(initial) else [initial] * len(keys)
+            )
         run = _run_batch(starts, streams, floors, space, coefficients, f, max_events=max_events)
         parts.append((run[0], run[4], run[3]))
     whole = [np.concatenate(a) for a in zip(*parts)]
@@ -452,8 +475,7 @@ def estimate_delta_h(
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> MCEstimate:
     """Monte Carlo h(xi + delta_alpha) - h(xi) via the coupled pair."""
-    if xi.size < m:
-        raise ValueError("xi must sit at or above the floor m")
+    _check_inputs(xi, m, space, alpha_location=alpha_location)
     (runs,) = _run_replicas(
         [(_pair_initials(xi, alpha_location), seed, replicas)], [m, m], (1.0, -1.0), f,
         space, max_events=max_events,
@@ -473,8 +495,7 @@ def estimate_delta2_h(
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> MCEstimate:
     """Monte Carlo second difference of h via four coupled chains."""
-    if xi.size < m:
-        raise ValueError("xi must sit at or above the floor m")
+    _check_inputs(xi, m, space, alpha_location=alpha_location, beta_location=beta_location)
     with_a, base = _pair_initials(xi, alpha_location)
     with_b = base.with_point(xi.size + 1, beta_location)
     with_ab = with_a.with_point(xi.size + 1, beta_location)
@@ -500,14 +521,14 @@ def estimate_h(
     integrates to pi(f) and the coupled contrast integrates to h(xi) without
     any additive constant; runs stop once the two identity sets merge.
     """
-    if xi.size < m:
-        raise ValueError("xi must sit at or above the floor m")
-    base = Configuration(tuple(range(xi.size)), xi.locations)
+    _check_inputs(xi, m, space)
 
-    def with_partner(r: int, stream: RandomStream) -> list[Configuration]:
+    def with_partner(r: int, stream: RandomStream):
+        # xi's points in chain 0, then the partner's in chain 1.
         partner = sample_conditional_poisson(space, m, stream)
-        tags = tuple(range(xi.size, xi.size + partner.size))
-        return [base, Configuration(tags, partner.locations)]
+        tags = np.arange(xi.size + partner.size)
+        locs = np.concatenate([xi.locations, partner.locations])
+        return tags, np.where(tags < xi.size, 0b01, 0b10), locs
 
     (runs,) = _run_replicas(
         [(with_partner, seed, replicas)], [m, m], (1.0, -1.0), f, space,
@@ -530,6 +551,7 @@ def estimate_coalescence_time(
     Replicas that hit the event cap are excluded from the mean and counted
     in the capped field instead of being inflated.
     """
+    _check_inputs(xi, m, space, alpha_location=alpha_location)
     ((_, capped, taus),) = _run_replicas(
         [(_pair_initials(xi, alpha_location), seed, replicas)], [m, m], None, None, space,
         max_events=max_events,
@@ -557,16 +579,22 @@ def estimate_pi_f(
     """Plain Monte Carlo of pi(f) = E f(Po^(m)) from exact draws.
 
     Replica r draws from stream (seed, stream_offset + r); derive_streams
-    seeds the streams of every _BATCH_ROWS replicas together.
+    seeds the streams of every _BATCH_ROWS replicas together.  A count
+    functional reads only each draw's count: the locations come after it in
+    the replica's own stream, so leaving them undrawn changes no value.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
+    if f.needs_locations:
+        value = lambda stream: f(sample_conditional_poisson(space, m, stream))
+    else:
+        value = lambda stream: f.from_count(_conditional_count(space, m, stream))
     vals = np.empty(replicas)
     for lo in range(0, replicas, _BATCH_ROWS):
         hi = min(lo + _BATCH_ROWS, replicas)
         streams = derive_streams(seed, range(stream_offset + lo, stream_offset + hi))
         for i, stream in enumerate(streams, lo):
-            vals[i] = f(sample_conditional_poisson(space, m, stream))
+            vals[i] = value(stream)
     return MCEstimate(
         estimate=float(vals.mean()),
         se=float(vals.std(ddof=1) / math.sqrt(replicas)),
@@ -596,14 +624,23 @@ def _stein_job(xi: Configuration, m: int, space: GroundSpace, replicas: int, see
 
     Component 0 is the immigration average, alpha drawn fresh each replica;
     components 1..n are one death term per point of xi, active above the
-    floor.  Component i reads streams i * replicas onwards.
+    floor.  Component i reads streams i * replicas onwards.  The start rows
+    are _start's of [xi + alpha, xi] and [xi, xi - x], built directly: xi's
+    points are tags 0..n-1 and alpha is tag n, alone in chain 0.
     """
-    base = Configuration(tuple(range(xi.size)), xi.locations)
-    dying = [[base, base.without_tag(i)] for i in range(xi.size)] if xi.size > m else []
+    n = xi.size
+    tags = np.arange(n + 1)
+    with_alpha = np.where(tags < n, 0b11, 0b01)
+    dying = [
+        (tags[:n], np.where(tags[:n] == i, 0b01, 0b11), xi.locations)
+        for i in range(n if n > m else 0)
+    ]
 
-    def component(r: int, stream: RandomStream) -> list[Configuration]:
+    def component(r: int, stream: RandomStream):
         i = r // replicas
-        return dying[i - 1] if i else _pair_initials(xi, space.sample_one(stream))
+        if i:
+            return dying[i - 1]
+        return tags, with_alpha, np.concatenate([xi.locations, space.sample(stream, 1)])
 
     return component, seed, replicas * (1 + len(dying))
 
@@ -631,8 +668,8 @@ def stein_residuals(
     xis, seeds = list(xis), list(seeds)
     if len(xis) != len(seeds):
         raise ValueError("need one seed per configuration")
-    if any(xi.size < m for xi in xis):
-        raise ValueError("xi must sit at or above the floor m")
+    for xi in xis:
+        _check_inputs(xi, m, space)
     if replicas < 2:  # a job's rows are replicas times its component count
         raise ValueError("need at least 2 replicas")
     runs = _run_replicas(

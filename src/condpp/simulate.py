@@ -134,14 +134,11 @@ def sample_poisson_process(space: GroundSpace, stream: RandomStream) -> Configur
     return Configuration(tuple(range(n)), space.sample(stream, n))
 
 
-def sample_conditional_poisson(
-    space: GroundSpace, m: int, stream: RandomStream
-) -> Configuration:
-    """Exact Po^(m) draw: reject counts below m, then place locations.
+def _conditional_count(space: GroundSpace, m: int, stream: RandomStream) -> int:
+    """The count of an exact Po^(m) draw, read from the draw's first uniforms.
 
-    Counts alone are resampled until acceptance (locations are independent
-    of the count, so drawing them only for the accepted count leaves the law
-    unchanged); each rejected attempt consumes exactly one uniform.
+    Counts alone are resampled until acceptance; each rejected attempt
+    consumes exactly one uniform.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -155,7 +152,18 @@ def sample_conditional_poisson(
     while True:
         n = _poisson_count(lam, stream)
         if n >= m:
-            break
+            return n
+
+
+def sample_conditional_poisson(
+    space: GroundSpace, m: int, stream: RandomStream
+) -> Configuration:
+    """Exact Po^(m) draw: reject counts below m, then place locations.
+
+    Locations are independent of the count, so drawing them only for the
+    accepted count (after _conditional_count) leaves the law unchanged.
+    """
+    n = _conditional_count(space, m, stream)
     return Configuration(tuple(range(n)), space.sample(stream, n))
 
 

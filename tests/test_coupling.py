@@ -32,7 +32,7 @@ from condpp.groundspace import (
     unit_interval,
 )
 from condpp.metrics import d1_bar
-from condpp.simulate import sample_conditional_poisson
+from condpp.simulate import _conditional_count, sample_conditional_poisson
 from condpp.verify import verify_delta_bounds
 from oracles import count_chain_h, coupled_chain_events, replica_runs_one_by_one
 
@@ -58,6 +58,14 @@ def on_locations(f):
     if f.needs_locations:
         return f.from_locations
     return lambda locs: f.from_count(len(locs))
+
+
+def as_rows(initial, floors, space):
+    """A job's initial as _run_replicas takes it: a callable drawing
+    configurations becomes one returning the start row _start decodes."""
+    if not callable(initial):
+        return initial
+    return lambda r, stream: coupling._start(initial(r, stream), floors, space.dimension)
 
 
 def engine_and_oracle(initial, floors, space, key, coefficients=None, f=None, **run):
@@ -497,6 +505,62 @@ class TestSteinResidual:
         want = sum(count_f_rule(j) * law.pmf(j) for j in range(1, 120))
         assert abs(est.estimate - want) < 4.0 * est.se
 
+    @pytest.mark.parametrize("seed, offset, m", [(3, 0, 1), (11, 40, 1), (82, 7, 2), (5, 13, 0)])
+    def test_pi_f_from_counts_equals_located_draws(self, seed, offset, m, monkeypatch):
+        # A count functional reads only the accepted count; a matching
+        # functional still places every draw's points.
+        space, replicas = unit_interval(3.0), 25
+        located = []
+
+        def sample(*args):
+            located.append(sample_conditional_poisson(*args))
+            return located[-1]
+
+        monkeypatch.setattr(coupling, "sample_conditional_poisson", sample)
+        for f in (CountTestFunction(count_f_rule), reference_test_functions(space)[2]):
+            located.clear()
+            est = estimate_pi_f(f, m, space, replicas, seed, stream_offset=offset)
+            draws = [
+                sample_conditional_poisson(space, m, derive_stream(seed, offset + r))
+                for r in range(replicas)
+            ]
+            vals = np.array([f(draw) for draw in draws])
+            assert est.estimate == float(vals.mean())
+            assert est.se == float(vals.std(ddof=1) / math.sqrt(replicas))
+            assert located == (draws if f.needs_locations else [])
+        for r in range(replicas):
+            twin = derive_stream(seed, offset + r)
+            stream = derive_stream(seed, offset + r)
+            assert _conditional_count(space, m, stream) == sample_conditional_poisson(
+                space, m, twin
+            ).size
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_stein_rows_equal_decoded_starts(self, dim, extra):
+        # _stein_job builds its rows as arrays; they must be the rows _start
+        # decodes from [xi + alpha, xi] and [xi, xi - x], and alpha must take
+        # the replica's first `dimension` uniforms.
+        m, replicas, seed = 2, 3, 17
+        space = unit_interval(3.0) if dim == 1 else unit_cube(3.0, dim)
+        xi = configuration_from_locations(space.sample(derive_stream(9, extra), m + extra))
+        component, job_seed, rows = coupling._stein_job(xi, m, space, replicas, seed)
+        deaths = xi.size if extra else 0
+        assert (job_seed, rows) == (seed, replicas * (1 + deaths))
+        base = Configuration(tuple(range(xi.size)), xi.locations)
+        for r in range(rows):
+            stream, twin = derive_stream(seed, r), derive_stream(seed, r)
+            got = component(r, stream)
+            i = r // replicas
+            if i:
+                initial = [base, base.without_tag(i - 1)]
+            else:
+                initial = coupling._pair_initials(xi, space.sample_one(twin))
+            want = coupling._start(initial, [m, m], dim)
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+            assert stream.uniform() == twin.uniform()
+
 
 class TestCoalescence:
     def test_floor_zero_extra_point_lifetime_is_standard_exponential(self):
@@ -557,6 +621,30 @@ class TestPSurvival:
             estimate_p_survival(2.0, 1, 2, replicas=200, seed=0)
 
 
+def test_estimators_refuse_bad_points_before_any_run(monkeypatch):
+    space, plane = unit_interval(3.0), unit_cube(3.0, 2)
+    f, xi, a = CountTestFunction(count_f_rule), make_xi(3.0, 2), np.array([0.5])
+    flat = configuration_from_locations(plane.sample(derive_stream(0, 1), 2))
+    monkeypatch.setattr(coupling, "_run_batch", lambda *a, **k: pytest.fail("ran"))
+    refused = [
+        ("xi's dimension", lambda: estimate_delta_h(f, flat, a, 1, space, 10, 0)),
+        ("xi's dimension", lambda: estimate_delta_h(f, empty_configuration(1), a, 0, plane, 10, 0)),
+        ("alpha_location", lambda: estimate_delta_h(f, xi, [0.1, 0.2], 1, space, 10, 0)),
+        ("alpha_location", lambda: estimate_delta_h(f, flat, a, 1, plane, 10, 0)),
+        ("xi's dimension", lambda: estimate_delta2_h(f, flat, a, a, 1, space, 10, 0)),
+        ("alpha_location", lambda: estimate_delta2_h(f, xi, np.zeros(0), a, 1, space, 10, 0)),
+        ("beta_location", lambda: estimate_delta2_h(f, xi, a, [[0.1, 0.2]], 1, space, 10, 0)),
+        ("xi's dimension", lambda: estimate_h(f, flat, 1, space, 10, 0)),
+        ("xi's dimension", lambda: estimate_coalescence_time(flat, a, 1, space, 10, 0)),
+        ("alpha_location", lambda: estimate_coalescence_time(xi, [0.1, 0.2], 1, space, 10, 0)),
+        ("xi's dimension", lambda: stein_residual(f, flat, 1, space, 10, 0)),
+        ("xi's dimension", lambda: stein_residuals(f, [xi, flat], 1, space, 10, [1, 2])),
+    ]
+    for message, call in refused:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestStreamFamilyReplicas:
     """The replica driver reads the streams derive_streams(seed, ...) seeds a
     batch at a time; it must equal the scalar union race
@@ -596,7 +684,8 @@ class TestStreamFamilyReplicas:
         # Batches of 5, 5 and 1: the last is a batch of one.
         monkeypatch.setattr(coupling, "_BATCH_ROWS", 5)
         (got,) = coupling._run_replicas(
-            [(initial, 21, 11)], [1, 1], coefficients, f, self.space, max_events=max_events
+            [(as_rows(initial, [1, 1], self.space), 21, 11)], [1, 1], coefficients, f,
+            self.space, max_events=max_events,
         )
         want = replica_runs_one_by_one(
             derive_stream, initial, [1, 1], coefficients, on_locations(f),
@@ -649,7 +738,8 @@ class TestStreamFamilyReplicas:
                 (self.initial("partner"), 33, 9)]
         monkeypatch.setattr(coupling, "_BATCH_ROWS", 5)
         got = coupling._run_replicas(
-            jobs, [1, 1], (1.0, -1.0), f, self.space, max_events=coupling.DEFAULT_EVENT_CAP
+            [(as_rows(initial, [1, 1], self.space), seed, n) for initial, seed, n in jobs],
+            [1, 1], (1.0, -1.0), f, self.space, max_events=coupling.DEFAULT_EVENT_CAP,
         )
         assert len(got) == len(jobs)
         for runs, (initial, seed, replicas) in zip(got, jobs):
@@ -660,6 +750,20 @@ class TestStreamFamilyReplicas:
             )
             for g, w in zip(runs, want):
                 np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("functional", ["count", "matching"])
+    def test_estimate_h_matches_one_by_one(self, functional):
+        # estimate_h builds its partner rows directly; the oracle loop starts
+        # from the partner's configurations.
+        f = CountTestFunction(count_f_rule) if functional == "count" else (
+            reference_test_functions(self.space)[2]
+        )
+        est = estimate_h(f, self.xi, 1, self.space, 11, 23)
+        runs = replica_runs_one_by_one(
+            derive_stream, self.initial("partner"), [1, 1], (1.0, -1.0), on_locations(f),
+            self.space.total_mass, self.space.sample, 11, 23, coupling.DEFAULT_EVENT_CAP,
+        )
+        assert est == coupling._contrast_estimate(runs, span=1.0, seed=23)
 
     def test_a_job_below_two_replicas_is_refused_before_any_run(self, monkeypatch):
         monkeypatch.setattr(coupling, "_run_batch", lambda *a, **k: pytest.fail("ran"))
