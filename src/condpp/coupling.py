@@ -210,10 +210,18 @@ def _start(initial, floors, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     )
 
 
+def _row(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The start row of (locations, chain mask) parts, in the form _start
+    gives: the parts' points take tags 0, 1, ... in part order, each with its
+    part's chain mask.  Each part's locations are an (n, dim) array."""
+    masks = np.repeat([mask for _, mask in parts], [len(locs) for locs, _ in parts])
+    return np.arange(masks.size), masks, np.concatenate([locs for locs, _ in parts])
+
+
 def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None, max_events):
     """The engine: row r runs from starts[r] on streams[r], all rows in step.
 
-    A start is a row's (tags, chain masks, locations) as _start gives them;
+    A start is a row's (tags, chain masks, locations) as _start or _row give them;
     consecutive rows that share one start object are filled together.  Rows
     stop at coalescence, or with a horizon run to it.  A location takes
     `dimension` uniforms, a victim one.  Each row's stream is read ahead in
@@ -374,21 +382,21 @@ def run_coupled_chains(
 
 
 def _check_inputs(xi: Configuration, m: int, space: GroundSpace, **points) -> None:
-    """Refuse xi off the space's dimension or below the floor m, and a named
-    point that is not one point of the space's dimension."""
+    """Refuse a negative floor m, xi off the space or below m, and a named
+    point that is not one point of the space (NaN lies in none)."""
+    if m < 0:
+        raise ValueError("the floor m must be nonnegative")
     if xi.dimension != space.dimension:
         raise ValueError("xi's dimension does not match the space")
     if xi.size < m:
         raise ValueError("xi must sit at or above the floor m")
+    if not all(space.contains(x) for x in xi.locations):
+        raise ValueError("xi's points must lie in the space")
     for name, point in points.items():
         if np.size(point) != space.dimension:
             raise ValueError(f"{name} must be one point of the space's dimension")
-
-
-def _pair_initials(xi: Configuration, alpha_location) -> list[Configuration]:
-    """[xi + alpha, xi], tagged so that xi's points are matched in both."""
-    base = Configuration(tuple(range(xi.size)), xi.locations)
-    return [base.with_point(xi.size, alpha_location), base]
+        if not space.contains(np.reshape(np.asarray(point, dtype=float), space.dimension)):
+            raise ValueError(f"{name} must lie in the space")
 
 
 def _run_replicas(
@@ -400,23 +408,19 @@ def _run_replicas(
     Each job is an (initial, seed, replicas) triple, and all jobs share the
     floors, coefficients, f and event cap.  Replica r of a job reads the
     derived stream (seed, r); derive_streams seeds a job's streams of a
-    batch together.  initial is either the list of starting configurations
-    shared by every replica of the job, checked and decoded into one start
-    row (_start) before any run, or a callable (r, stream) that returns
-    replica r's start row, drawing from its stream before the run reads it.
-    The jobs' rows run end to end in batches of at most _BATCH_ROWS rows,
-    which bounds the engine's per-row arrays (read-ahead uniforms, chain
-    masks, locations); every row reads only its own stream, so its results
-    do not depend on the batch it runs in.  Returns, per job, per-replica
-    arrays of the contrast integral, the capped flag and the coalescence
-    time (NaN for capped replicas, which never coalesce).
+    batch together.  initial(r, stream) returns replica r's start row, as
+    _row builds it, and may draw from the stream before the run reads it; a
+    job whose replicas share one start returns that one row object for each,
+    which the engine fills once.  The jobs' rows run end to end in batches
+    of at most _BATCH_ROWS rows, which bounds the engine's per-row arrays
+    (read-ahead uniforms, chain masks, locations); every row reads only its
+    own stream, so its results do not depend on the batch it runs in.
+    Returns, per job, per-replica arrays of the contrast integral, the
+    capped flag and the coalescence time (NaN for capped replicas, which
+    never coalesce).
     """
     if any(replicas < 2 for _, _, replicas in jobs):
         raise ValueError("need at least 2 replicas")
-    jobs = [
-        (initial if callable(initial) else _start(initial, floors, space.dimension), seed, n)
-        for initial, seed, n in jobs
-    ]
     bounds = list(itertools.accumulate((replicas for _, _, replicas in jobs), initial=0))
     spans = list(zip(bounds, bounds[1:]))
     parts = []
@@ -426,10 +430,7 @@ def _run_replicas(
             keys = range(max(lo, first) - first, min(lo + _BATCH_ROWS, end) - first)
             batch = derive_streams(seed, keys)
             streams += batch
-            starts += (
-                [initial(r, stream) for r, stream in zip(keys, batch)]
-                if callable(initial) else [initial] * len(keys)
-            )
+            starts += [initial(r, stream) for r, stream in zip(keys, batch)]
         run = _run_batch(starts, streams, floors, space, coefficients, f, max_events=max_events)
         parts.append((run[0], run[4], run[3]))
     whole = [np.concatenate(a) for a in zip(*parts)]
@@ -476,9 +477,10 @@ def estimate_delta_h(
 ) -> MCEstimate:
     """Monte Carlo h(xi + delta_alpha) - h(xi) via the coupled pair."""
     _check_inputs(xi, m, space, alpha_location=alpha_location)
+    row = _row([(xi.locations, 0b11), (np.reshape(alpha_location, (1, -1)), 0b01)])
     (runs,) = _run_replicas(
-        [(_pair_initials(xi, alpha_location), seed, replicas)], [m, m], (1.0, -1.0), f,
-        space, max_events=max_events,
+        [(lambda r, stream: row, seed, replicas)], [m, m], (1.0, -1.0), f, space,
+        max_events=max_events,
     )
     return _contrast_estimate(runs, span=1.0, seed=seed)
 
@@ -496,12 +498,14 @@ def estimate_delta2_h(
 ) -> MCEstimate:
     """Monte Carlo second difference of h via four coupled chains."""
     _check_inputs(xi, m, space, alpha_location=alpha_location, beta_location=beta_location)
-    with_a, base = _pair_initials(xi, alpha_location)
-    with_b = base.with_point(xi.size + 1, beta_location)
-    with_ab = with_a.with_point(xi.size + 1, beta_location)
+    # Chains [xi + alpha + beta, xi + alpha, xi + beta, xi].
+    row = _row([
+        (xi.locations, 0b1111), (np.reshape(alpha_location, (1, -1)), 0b0011),
+        (np.reshape(beta_location, (1, -1)), 0b0101),
+    ])
     (runs,) = _run_replicas(
-        [([with_ab, with_a, with_b, base], seed, replicas)], [m, m, m, m],
-        (1.0, -1.0, -1.0, 1.0), f, space, max_events=max_events,
+        [(lambda r, stream: row, seed, replicas)], [m, m, m, m], (1.0, -1.0, -1.0, 1.0), f,
+        space, max_events=max_events,
     )
     return _contrast_estimate(runs, span=2.0, seed=seed)
 
@@ -524,11 +528,8 @@ def estimate_h(
     _check_inputs(xi, m, space)
 
     def with_partner(r: int, stream: RandomStream):
-        # xi's points in chain 0, then the partner's in chain 1.
         partner = sample_conditional_poisson(space, m, stream)
-        tags = np.arange(xi.size + partner.size)
-        locs = np.concatenate([xi.locations, partner.locations])
-        return tags, np.where(tags < xi.size, 0b01, 0b10), locs
+        return _row([(xi.locations, 0b01), (partner.locations, 0b10)])
 
     (runs,) = _run_replicas(
         [(with_partner, seed, replicas)], [m, m], (1.0, -1.0), f, space,
@@ -552,8 +553,9 @@ def estimate_coalescence_time(
     in the capped field instead of being inflated.
     """
     _check_inputs(xi, m, space, alpha_location=alpha_location)
+    row = _row([(xi.locations, 0b11), (np.reshape(alpha_location, (1, -1)), 0b01)])
     ((_, capped, taus),) = _run_replicas(
-        [(_pair_initials(xi, alpha_location), seed, replicas)], [m, m], None, None, space,
+        [(lambda r, stream: row, seed, replicas)], [m, m], None, None, space,
         max_events=max_events,
     )
     times = taus[~capped]
@@ -625,22 +627,22 @@ def _stein_job(xi: Configuration, m: int, space: GroundSpace, replicas: int, see
     Component 0 is the immigration average, alpha drawn fresh each replica;
     components 1..n are one death term per point of xi, active above the
     floor.  Component i reads streams i * replicas onwards.  The start rows
-    are _start's of [xi + alpha, xi] and [xi, xi - x], built directly: xi's
-    points are tags 0..n-1 and alpha is tag n, alone in chain 0.
+    are _row's of [xi + alpha, xi] and [xi, xi - x]: xi's points in both
+    chains and alpha, or x, alone in chain 0.  The immigration row's tags
+    and masks are built once; a replica draws only alpha.
     """
-    n = xi.size
-    tags = np.arange(n + 1)
-    with_alpha = np.where(tags < n, 0b11, 0b01)
+    at = xi.locations
+    tags, with_alpha, _ = _row([(at, 0b11), (np.empty((1, space.dimension)), 0b01)])
     dying = [
-        (tags[:n], np.where(tags[:n] == i, 0b01, 0b11), xi.locations)
-        for i in range(n if n > m else 0)
+        _row([(at[:i], 0b11), (at[i : i + 1], 0b01), (at[i + 1 :], 0b11)])
+        for i in range(xi.size if xi.size > m else 0)
     ]
 
     def component(r: int, stream: RandomStream):
         i = r // replicas
         if i:
             return dying[i - 1]
-        return tags, with_alpha, np.concatenate([xi.locations, space.sample(stream, 1)])
+        return tags, with_alpha, np.concatenate([at, space.sample(stream, 1)])
 
     return component, seed, replicas * (1 + len(dying))
 
@@ -724,11 +726,14 @@ def estimate_p_survival(
     """Monte Carlo of the excursion survival probability, vectorized.
 
     The survival event depends only on the embedded count jump chain and the
-    distinguished point's alive flag, so holding times and locations are
-    never drawn.  During the excursion the count stays above k >= m and the
-    floor never binds, hence m enters only through validation.  Per step and
-    per active replica exactly two uniforms are consumed (transition type,
-    then victim), keeping the draw pattern deterministic.
+    distinguished point's fate, so holding times and locations are never
+    drawn.  During the excursion the count stays above k >= m and the floor
+    never binds, hence m enters only through validation.  A replica stops
+    once decided: when its distinguished point dies (a failure, also in the
+    step that returns the count to k) or when its count returns to k with
+    the point alive.  Per step and per active replica exactly two uniforms
+    are consumed (transition type, then victim), keeping the draw pattern
+    deterministic.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
@@ -738,7 +743,6 @@ def estimate_p_survival(
         raise ValueError("lam must be positive and finite")
     stream = derive_stream(seed, 0)
     counts = np.full(replicas, k + 1, dtype=np.int64)
-    alive = np.ones(replicas, dtype=bool)
     survived = np.zeros(replicas, dtype=bool)
     index = np.arange(replicas)
     max_steps = 20_000_000
@@ -751,17 +755,12 @@ def estimate_p_survival(
         u_type = stream.uniforms(n)
         u_victim = stream.uniforms(n)
         imm = u_type * (lam + counts) < lam
-        dies = (~imm) & alive & (u_victim * counts < 1.0)
-        alive[dies] = False
-        counts[imm] += 1
-        counts[~imm] -= 1
-        done = counts == k
-        if done.any():
-            survived[index[done]] = alive[done]
-            keep = ~done
-            counts = counts[keep]
-            alive = alive[keep]
-            index = index[keep]
+        dies = ~imm & (u_victim * counts < 1.0)
+        counts += np.where(imm, 1, -1)
+        back = counts == k
+        survived[index[back & ~dies]] = True
+        keep = ~(back | dies)
+        counts, index = counts[keep], index[keep]
     p_hat = float(survived.mean())
     se = math.sqrt(p_hat * (1.0 - p_hat) / replicas)
     return MCEstimate(estimate=p_hat, se=se, replicas=replicas, seed=seed)

@@ -211,21 +211,15 @@ def sample_binomial_process(
     p: float,
     conditional_m: int,
     stream: RandomStream,
-    space: GroundSpace | None = None,
 ) -> Configuration:
-    """Binomial(n, p)-many iid points, conditioned on count >= m.
+    """Binomial(n, p)-many iid uniform points of [0, 1], conditioned on count >= m.
 
     Shares the indicator rejection core with the Bernoulli sampler, so equal
-    streams give equal counts; locations are drawn only after acceptance,
-    from the given space (default: unit interval).
+    streams give equal counts; locations are drawn only after acceptance.
     """
-    from .groundspace import unit_interval
-
-    if space is None:
-        space = unit_interval(n * p)
     fired = _indicator_attempts(n, p, conditional_m, stream)
     count = int(fired.sum())
-    return Configuration(tuple(range(count)), space.sample(stream, count))
+    return Configuration(tuple(range(count)), stream.uniforms(count).reshape(count, 1))
 
 
 def _first_immigrant_tag(tags) -> int:

@@ -60,11 +60,19 @@ def on_locations(f):
     return lambda locs: f.from_count(len(locs))
 
 
+def pair_initials(xi, alpha):
+    """[xi + alpha, xi], tagged so that xi's points are matched in both."""
+    base = Configuration(tuple(range(xi.size)), xi.locations)
+    return [base.with_point(xi.size, alpha), base]
+
+
 def as_rows(initial, floors, space):
-    """A job's initial as _run_replicas takes it: a callable drawing
-    configurations becomes one returning the start row _start decodes."""
+    """A job's initial as _run_replicas takes it: a callable returning the
+    start row _start decodes from a configuration list, shared by every
+    replica or drawn by initial(r, stream)."""
     if not callable(initial):
-        return initial
+        row = coupling._start(initial, floors, space.dimension)
+        return lambda r, stream: row
     return lambda r, stream: coupling._start(initial(r, stream), floors, space.dimension)
 
 
@@ -92,6 +100,58 @@ def coalesced(chains):
 def domination_triple(xi):
     """Starts of (Z^(m) from xi, Z^(0) from xi, Z^(0) from empty), floors (m, 0, 0)."""
     return [xi, xi, empty_configuration(xi.dimension)]
+
+
+def start_rows_against_decoded(space, xi, m, monkeypatch):
+    """Each estimator's start rows at xi, as _run_batch receives them, must
+    be the rows _start decodes from the matching configuration lists, and a
+    drawn alpha or partner must take the replica's first uniforms."""
+    f, replicas, seed, size, dim = CountTestFunction(count_f_rule), 3, 17, xi.size, xi.dimension
+    a, b = np.full(dim, 0.25), np.full(dim, 0.75)
+    with_a, base = pair_initials(xi, a)
+    with_ab, with_b = with_a.with_point(size + 1, b), base.with_point(size + 1, b)
+
+    def partner(r, twin):
+        drawn = sample_conditional_poisson(space, m, twin)
+        return [xi, Configuration(tuple(range(size, size + drawn.size)), drawn.locations)]
+
+    def stein(r, twin):
+        i = r // replicas
+        return [base, base.without_tag(i - 1)] if i else pair_initials(xi, space.sample_one(twin))
+
+    deaths = size if size > m else 0
+    cases = [
+        (lambda: estimate_delta_h(f, xi, a, m, space, replicas, seed), 2, replicas,
+         lambda r, twin: [with_a, base]),
+        (lambda: estimate_delta2_h(f, xi, a, b, m, space, replicas, seed), 4, replicas,
+         lambda r, twin: [with_ab, with_a, with_b, base]),
+        (lambda: estimate_coalescence_time(xi, a, m, space, replicas, seed), 2, replicas,
+         lambda r, twin: [with_a, base]),
+        (lambda: estimate_h(f, xi, m, space, replicas, seed), 2, replicas, partner),
+        (lambda: stein_residual(f, xi, m, space, replicas, seed), 2, replicas * (1 + deaths),
+         stein),
+    ]
+    seen = []
+
+    class Ran(Exception):
+        pass
+
+    def capture(starts, streams, *args, **kwargs):
+        seen[:] = starts, streams
+        raise Ran
+
+    monkeypatch.setattr(coupling, "_run_batch", capture)
+    for call, chains, rows, initial in cases:
+        with pytest.raises(Ran):
+            call()
+        starts, streams = seen
+        assert len(starts) == len(streams) == rows
+        for r, (got, stream) in enumerate(zip(starts, streams)):
+            twin = derive_stream(seed, r)
+            want = coupling._start(initial(r, twin), [m] * chains, dim)
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+            assert stream.uniform() == twin.uniform()
 
 
 class TestTestFunctions:
@@ -156,7 +216,7 @@ class TestCoupledRunMechanics:
     def test_pair_stops_at_coalescence(self):
         space = unit_interval(2.0)
         xi = make_xi(2.0, 2)
-        initial = coupling._pair_initials(xi, np.array([0.4]))
+        initial = pair_initials(xi, np.array([0.4]))
         run, states = engine_and_oracle(initial, [1, 1], space, (3, 0))
         assert run.coalescence_time is not None
         assert run.coalescence_time == run.elapsed
@@ -177,7 +237,7 @@ class TestCoupledRunMechanics:
     def test_coalescence_time_is_first_merge(self):
         space = unit_interval(2.0)
         xi = make_xi(2.0, 1, seed=6)
-        initial = coupling._pair_initials(xi, np.array([0.8]))
+        initial = pair_initials(xi, np.array([0.8]))
         run, states = engine_and_oracle(initial, [1, 1], space, (5, 0))
         pre = [chains for time, chains in states if time < run.coalescence_time]
         assert all(not coalesced(chains) for chains in pre)
@@ -185,7 +245,7 @@ class TestCoupledRunMechanics:
     def test_shared_immigrations_enter_every_chain(self):
         space = unit_interval(3.0)
         xi = make_xi(3.0, 2, seed=7)
-        initial = coupling._pair_initials(xi, np.array([0.5]))
+        initial = pair_initials(xi, np.array([0.5]))
         _, states = engine_and_oracle(initial, [1, 1], space, (6, 0))
         arrivals = 0
         for (_, before), (_, after) in zip(states, states[1:]):
@@ -234,7 +294,7 @@ class TestCoupledRunMechanics:
         # must be the next ones the stream hands out.
         space = unit_cube(3.0, dim)
         xi = configuration_from_locations(space.sample(derive_stream(9, 0), 2))
-        initial = coupling._pair_initials(xi, np.full(dim, 0.5))
+        initial = pair_initials(xi, np.full(dim, 0.5))
         stream = derive_stream(12, dim)
         run = run_coupled_chains(initial, [1, 1], space, stream, horizon=horizon)
         _, states = coupled_chain_events(
@@ -495,6 +555,16 @@ class TestSteinResidual:
         with pytest.raises(ValueError, match="2 replicas"):
             stein_residuals(f, xis[:1], 1, space, 1, [1])
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_stein_rows_equal_decoded_starts(self, dim, extra, monkeypatch):
+        # Every estimator's start rows, not only the generator residual's,
+        # at |xi| = m + extra above the floor m = 2 and at an empty xi, m = 0.
+        space = unit_cube(3.0, dim)
+        xi = configuration_from_locations(space.sample(derive_stream(9, extra), 2 + extra))
+        start_rows_against_decoded(space, xi, 2, monkeypatch)
+        start_rows_against_decoded(space, empty_configuration(dim), 0, monkeypatch)
+
     def test_pi_f_matches_count_law(self):
         space = unit_interval(3.0)
         f = CountTestFunction(count_f_rule)
@@ -534,32 +604,6 @@ class TestSteinResidual:
             assert _conditional_count(space, m, stream) == sample_conditional_poisson(
                 space, m, twin
             ).size
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("extra", [0, 1, 3])
-    def test_stein_rows_equal_decoded_starts(self, dim, extra):
-        # _stein_job builds its rows as arrays; they must be the rows _start
-        # decodes from [xi + alpha, xi] and [xi, xi - x], and alpha must take
-        # the replica's first `dimension` uniforms.
-        m, replicas, seed = 2, 3, 17
-        space = unit_interval(3.0) if dim == 1 else unit_cube(3.0, dim)
-        xi = configuration_from_locations(space.sample(derive_stream(9, extra), m + extra))
-        component, job_seed, rows = coupling._stein_job(xi, m, space, replicas, seed)
-        deaths = xi.size if extra else 0
-        assert (job_seed, rows) == (seed, replicas * (1 + deaths))
-        base = Configuration(tuple(range(xi.size)), xi.locations)
-        for r in range(rows):
-            stream, twin = derive_stream(seed, r), derive_stream(seed, r)
-            got = component(r, stream)
-            i = r // replicas
-            if i:
-                initial = [base, base.without_tag(i - 1)]
-            else:
-                initial = coupling._pair_initials(xi, space.sample_one(twin))
-            want = coupling._start(initial, [m, m], dim)
-            for g, w in zip(got, want, strict=True):
-                np.testing.assert_array_equal(g, w)
-            assert stream.uniform() == twin.uniform()
 
 
 class TestCoalescence:
@@ -625,6 +669,9 @@ def test_estimators_refuse_bad_points_before_any_run(monkeypatch):
     space, plane = unit_interval(3.0), unit_cube(3.0, 2)
     f, xi, a = CountTestFunction(count_f_rule), make_xi(3.0, 2), np.array([0.5])
     flat = configuration_from_locations(plane.sample(derive_stream(0, 1), 2))
+    alpha_off, beta_off, nan = "alpha_location must lie", "beta_location must lie", math.nan
+    nan_xi = Configuration((0, 1), np.array([[0.5], [nan]]))
+    off_xi = Configuration((0, 1), np.array([[0.5], [1.5]]))
     monkeypatch.setattr(coupling, "_run_batch", lambda *a, **k: pytest.fail("ran"))
     refused = [
         ("xi's dimension", lambda: estimate_delta_h(f, flat, a, 1, space, 10, 0)),
@@ -639,6 +686,20 @@ def test_estimators_refuse_bad_points_before_any_run(monkeypatch):
         ("alpha_location", lambda: estimate_coalescence_time(xi, [0.1, 0.2], 1, space, 10, 0)),
         ("xi's dimension", lambda: stein_residual(f, flat, 1, space, 10, 0)),
         ("xi's dimension", lambda: stein_residuals(f, [xi, flat], 1, space, 10, [1, 2])),
+        (alpha_off, lambda: estimate_delta_h(f, xi, [7.0], 1, space, 20, 1)),
+        (alpha_off, lambda: estimate_delta_h(f, xi, [nan], 1, space, 20, 1)),
+        (alpha_off, lambda: estimate_delta_h(f, flat, [0.5, nan], 1, plane, 10, 0)),
+        (alpha_off, lambda: estimate_coalescence_time(xi, [-0.1], 1, space, 10, 0)),
+        (beta_off, lambda: estimate_delta2_h(f, xi, a, [1.5], 1, space, 10, 0)),
+        (beta_off, lambda: estimate_delta2_h(f, xi, a, [nan], 1, space, 10, 0)),
+        ("xi's points", lambda: estimate_delta_h(f, nan_xi, a, 1, space, 10, 0)),
+        ("xi's points", lambda: estimate_delta_h(f, off_xi, a, 1, space, 10, 0)),
+        ("xi's points", lambda: estimate_delta2_h(f, off_xi, a, a, 1, space, 10, 0)),
+        ("xi's points", lambda: estimate_h(f, nan_xi, 1, space, 10, 0)),
+        ("xi's points", lambda: estimate_coalescence_time(off_xi, a, 1, space, 10, 0)),
+        ("xi's points", lambda: stein_residuals(f, [xi, nan_xi], 1, space, 10, [1, 2])),
+        ("floor m must be nonnegative", lambda: estimate_delta_h(f, xi, a, -1, space, 10, 0)),
+        ("floor m must be nonnegative", lambda: estimate_h(f, xi, -1, space, 10, 0)),
     ]
     for message, call in refused:
         with pytest.raises(ValueError, match=message):
@@ -659,9 +720,9 @@ class TestStreamFamilyReplicas:
     def initial(self, kind):
         space, xi = self.space, self.xi
         if kind == "list":
-            return coupling._pair_initials(xi, np.array([0.25]))
+            return pair_initials(xi, np.array([0.25]))
         if kind == "alpha":  # stein_residual's immigration term
-            return lambda r, stream: coupling._pair_initials(xi, space.sample_one(stream))
+            return lambda r, stream: pair_initials(xi, space.sample_one(stream))
 
         def partner(r, stream):  # estimate_h's Po^(m) partner
             drawn = sample_conditional_poisson(space, 1, stream)
@@ -702,7 +763,7 @@ class TestStreamFamilyReplicas:
         # rows stop at different steps, so the survivors refill alone.
         space = unit_interval(5.0)
         xi = configuration_from_locations(np.linspace(0.04, 0.96, 12))
-        initial = coupling._pair_initials(xi, np.array([0.5]))
+        initial = pair_initials(xi, np.array([0.5]))
         if functional == "count":
             f = CountTestFunction(count_f_rule)
         else:
@@ -716,7 +777,7 @@ class TestStreamFamilyReplicas:
         monkeypatch.setattr(RandomStream, "uniforms", counted)
         monkeypatch.setattr(coupling, "_BATCH_ROWS", 5)
         (got,) = coupling._run_replicas(
-            [(initial, 22, 11)], [1, 1], (1.0, -1.0), f, space,
+            [(as_rows(initial, [1, 1], space), 22, 11)], [1, 1], (1.0, -1.0), f, space,
             max_events=coupling.DEFAULT_EVENT_CAP,
         )
         assert len(reads) > 11  # a first block per replica, then refills
@@ -767,7 +828,8 @@ class TestStreamFamilyReplicas:
 
     def test_a_job_below_two_replicas_is_refused_before_any_run(self, monkeypatch):
         monkeypatch.setattr(coupling, "_run_batch", lambda *a, **k: pytest.fail("ran"))
-        jobs = [(self.initial("list"), 1, 5), (self.initial("list"), 2, 1)]
+        row = as_rows(self.initial("list"), [1, 1], self.space)
+        jobs = [(row, 1, 5), (row, 2, 1)]
         with pytest.raises(ValueError, match="2 replicas"):
             coupling._run_replicas(jobs, [1, 1], None, None, self.space, max_events=10)
 
