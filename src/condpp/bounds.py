@@ -10,7 +10,8 @@ tests can inspect which expression wins where.
 
 Tail conventions: poisson_tail(lam, k) is P(Po(lam) >= k) with value 1 for
 all k <= 0, and binomial_tail(n, p, m) is P(Bin(n, p) >= m) with value 1 for
-all m <= 0 and 0 for all m > n.
+all m <= 0 and 0 for all m > n.  Past the Poisson mode every Poisson tail and
+tail ratio, here and in simulate, reads the one series _upper_tail_sum.
 """
 
 from __future__ import annotations
@@ -68,11 +69,12 @@ def poisson_pmf(lam: float, j: int) -> float:
 
 
 def poisson_tail(lam: float, k: int) -> float:
-    """P(Po(lam) >= k).  k <= 0 gives 1; relative error around 1e-14.
+    """P(Po(lam) >= k).  k <= 0 gives 1.
 
-    Terms are anchored at the needed end of the distribution in log space and
-    accumulated with compensated summation: the upper tail is summed directly
-    when k exceeds the mode, otherwise the head is summed and complemented.
+    Past the mode it is pmf(k) (1 + lam T), T as in _upper_tail_sum;
+    otherwise 1 minus the head, summed with compensated summation.  The
+    relative error is the log-space pmf's, which grows with lam: about 1e-13
+    up to lam = 10 and 1.6e-12 at lam = 700.
     """
     lam = _check_lam(lam)
     if k != int(k):
@@ -83,20 +85,8 @@ def poisson_tail(lam: float, k: int) -> float:
     if k == 1:
         # 1 - e^{-lam} without cancellation for small lam.
         return -math.expm1(-lam)
-    mode = math.ceil(lam)
-    if k > mode:
-        # Direct tail sum; terms decrease geometrically since k > lam.
-        t = math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
-        first = t
-        terms = []
-        j = k
-        while t > 0.0 and t > first * 1e-20:
-            terms.append(t)
-            j += 1
-            t *= lam / j
-            if j > k + 100000:
-                raise RuntimeError("tail series failed to converge")
-        return math.fsum(terms)
+    if k > math.ceil(lam):
+        return poisson_pmf(lam, k) * (1.0 + lam * _upper_tail_sum(lam, k))
     head = math.fsum(
         math.exp(-lam + j * math.log(lam) - math.lgamma(j + 1)) for j in range(k)
     )
@@ -104,7 +94,11 @@ def poisson_tail(lam: float, k: int) -> float:
 
 
 def _upper_tail_sum(lam: float, k: int) -> float:
-    """T = sum_{i>=1} lam^(i-1) k!/(k+i)!, so F(k) = pmf(k) (1 + lam T) past the mode."""
+    """T = sum_{i>=1} lam^(i-1) k!/(k+i)!, so F(k) = pmf(k) (1 + lam T) past the mode.
+
+    The one series behind every upper tail F past the mode: F itself, the
+    ratio F(k-1)/F(k), the survival probability and the Po^(m) count law.
+    """
     terms = [1.0 / (k + 1)]
     while terms[-1] > terms[0] * 1e-20:  # k > lam: geometric decrease
         terms.append(terms[-1] * lam / (k + len(terms) + 1))

@@ -189,15 +189,12 @@ class CoupledRun:
     final_counts: tuple[int, ...]
 
 
-def _start(initial, floors, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The start row of a list of chains: its identities' tags, chain masks
-    (bit c for chain c) and (n, dim) locations, first seen first."""
+def _start(initial, floors, space: GroundSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The start row of a list of chains, each checked on the space: its tags,
+    chain masks (bit c for chain c) and (n, dim) locations, first seen first."""
     locs, masks = {}, {}
     for c, cfg in enumerate(initial):
-        if cfg.dimension != dim:
-            raise ValueError("configuration dimension does not match the space")
-        if floors[c] < 0 or cfg.size < floors[c]:
-            raise ValueError(f"chain {c} starts below its floor")
+        _check_inputs(cfg, floors[c], space, f"chain {c}")
         for tag, loc in zip(cfg.tags, cfg.locations):
             if tag not in masks:
                 locs[tag], masks[tag] = loc, 0
@@ -206,7 +203,7 @@ def _start(initial, floors, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
             masks[tag] |= 1 << c
     return (
         np.array(list(masks), dtype=np.int64), np.array(list(masks.values()), dtype=np.int64),
-        np.reshape(list(locs.values()), (-1, dim)),
+        np.reshape(list(locs.values()), (-1, space.dimension)),
     )
 
 
@@ -358,7 +355,8 @@ def run_coupled_chains(
 
     Chains are given as configurations whose shared tags declare matched
     points (shared tags must agree on location).  floors[c] is the floor m
-    of chain c; every initial configuration must sit at or above its floor.
+    of chain c; every initial configuration must lie in the space and sit at
+    or above its floor, which is checked before any draw.
     The integral accumulated is int sum_c coefficients[c] f(chain c) dt,
     piecewise constant between events.  Without a horizon the run stops at
     coalescence; with one it runs to the horizon, and the coalescence time
@@ -371,7 +369,7 @@ def run_coupled_chains(
     if coefficients is not None and len(coefficients) != len(initial):
         raise ValueError("need one coefficient per chain")
     run = _run_batch(
-        [_start(initial, floors, space.dimension)], [stream], floors, space, coefficients,
+        [_start(initial, floors, space)], [stream], floors, space, coefficients,
         test_function, horizon=horizon, max_events=max_events,
     )
     integral, elapsed, events, tau, capped, counts = (a[0] for a in run)
@@ -381,17 +379,17 @@ def run_coupled_chains(
     )
 
 
-def _check_inputs(xi: Configuration, m: int, space: GroundSpace, **points) -> None:
-    """Refuse a negative floor m, xi off the space or below m, and a named
-    point that is not one point of the space (NaN lies in none)."""
+def _check_inputs(xi: Configuration, m: int, space: GroundSpace, label="xi", **points) -> None:
+    """Refuse a negative floor m, xi (called label) off the space or below m,
+    and a named point that is not one point of the space (NaN lies in none)."""
     if m < 0:
         raise ValueError("the floor m must be nonnegative")
     if xi.dimension != space.dimension:
-        raise ValueError("xi's dimension does not match the space")
+        raise ValueError(f"{label}'s dimension does not match the space")
     if xi.size < m:
-        raise ValueError("xi must sit at or above the floor m")
+        raise ValueError(f"{label} must sit at or above the floor m")
     if not all(space.contains(x) for x in xi.locations):
-        raise ValueError("xi's points must lie in the space")
+        raise ValueError(f"{label}'s points must lie in the space")
     for name, point in points.items():
         if np.size(point) != space.dimension:
             raise ValueError(f"{name} must be one point of the space's dimension")

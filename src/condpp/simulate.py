@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import binomial_tail, poisson_pmf, poisson_tail
+from .bounds import _upper_tail_sum, binomial_tail, poisson_pmf, poisson_tail, poisson_tail_ratio
 from .groundspace import Configuration, GroundSpace, RandomStream, _Drawn
 
 __all__ = [
@@ -63,7 +63,9 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class CountPMF:
-    """Count law of Po^(m): Poisson(lam) truncated to {m, m+1, ...}."""
+    """Count law of Po^(m): Poisson(lam) truncated to {m, m+1, ...}.  Past the
+    mode it divides by 1 + lam T(m), T as in bounds, not by the upper tail
+    F(m) = pmf(m) (1 + lam T(m)), which may underflow."""
 
     lam: float
     m: int
@@ -75,15 +77,17 @@ class CountPMF:
             raise ValueError("m must be nonnegative")
 
     def pmf(self, j: int) -> float:
-        if j < self.m:
+        lam, m = self.lam, self.m
+        if j < m:
             return 0.0
-        return poisson_pmf(self.lam, j) / poisson_tail(self.lam, self.m)
+        if m > math.ceil(lam):  # pmf(j)/pmf(m) = lam^(j-m) m!/j!
+            log_ratio = (j - m) * math.log(lam) + math.lgamma(m + 1) - math.lgamma(j + 1)
+            return math.exp(log_ratio) / (1.0 + lam * _upper_tail_sum(lam, m))
+        return poisson_pmf(lam, j) / poisson_tail(lam, m)
 
     def mean(self) -> float:
-        # Identity: E|Po^(m)| = lam + m * P(Po(lam) = m) / P(Po(lam) >= m)
-        # follows from shifting the truncated series once.
-        tail = poisson_tail(self.lam, self.m)
-        return self.lam * poisson_tail(self.lam, self.m - 1) / tail if self.m else self.lam
+        # E|Po^(m)| = lam F(m-1)/F(m), shifting the truncated series once.
+        return self.lam * poisson_tail_ratio(self.lam, self.m)
 
 
 def conditional_count_pmf(lam: float, m: int) -> CountPMF:

@@ -11,6 +11,8 @@ from oracles import binomial_tail_mp, p_survival_mp, poisson_tail_mp
 
 LAM_GRID = [0.1, 0.5, 1.0, 1.76, 2.0, 5.0, 10.0, 25.0, 50.0]
 
+TAIL_GRID = [(lam, k) for k in (0, 1, 2, 3, 5, 10, 20, 40) for lam in LAM_GRID]
+
 # (lam, k) where the Poisson tail at k underflows or 1 - (R - k/lam) cancels.
 FAR_PAST_MODE = [(0.5, 200), (0.001, 5), (1e-300, 2)]
 
@@ -24,8 +26,13 @@ BINOMIAL_GRID = sorted({
 
 
 class TestTail:
-    @pytest.mark.parametrize("lam", LAM_GRID)
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 10, 20, 40])
+    @pytest.mark.parametrize(
+        "lam, k",
+        [
+            pytest.param(lam, k, id=f"{k}-{lam}")
+            for lam, k in TAIL_GRID + FAR_PAST_MODE + [(700.0, 760)]
+        ],
+    )
     def test_tail_matches_high_precision(self, lam, k):
         got = bounds.poisson_tail(lam, k)
         want = float(poisson_tail_mp(lam, k))

@@ -71,9 +71,9 @@ def as_rows(initial, floors, space):
     start row _start decodes from a configuration list, shared by every
     replica or drawn by initial(r, stream)."""
     if not callable(initial):
-        row = coupling._start(initial, floors, space.dimension)
+        row = coupling._start(initial, floors, space)
         return lambda r, stream: row
-    return lambda r, stream: coupling._start(initial(r, stream), floors, space.dimension)
+    return lambda r, stream: coupling._start(initial(r, stream), floors, space)
 
 
 def engine_and_oracle(initial, floors, space, key, coefficients=None, f=None, **run):
@@ -148,7 +148,7 @@ def start_rows_against_decoded(space, xi, m, monkeypatch):
         assert len(starts) == len(streams) == rows
         for r, (got, stream) in enumerate(zip(starts, streams)):
             twin = derive_stream(seed, r)
-            want = coupling._start(initial(r, twin), [m] * chains, dim)
+            want = coupling._start(initial(r, twin), [m] * chains, space)
             for g, w in zip(got, want, strict=True):
                 np.testing.assert_array_equal(g, w)
             assert stream.uniform() == twin.uniform()
@@ -314,6 +314,14 @@ class TestCoupledRunMechanics:
         space = unit_interval(2.0)
         with pytest.raises(ValueError):
             run_coupled_chains([make_xi(2.0, 1)], [2], space, derive_stream(0, 0))
+
+    @pytest.mark.parametrize("points", [[[1.5]], [[math.nan]], [[0.5], [1.5]]])
+    def test_chain_off_the_space_is_refused_before_any_run(self, points):
+        chain = Configuration(tuple(range(len(points))), np.array(points))
+        stream = derive_stream(0, 0)
+        with pytest.raises(ValueError, match="chain 0's points must lie in the space"):
+            run_coupled_chains([chain], [0], unit_interval(3.0), stream, horizon=2.0)
+        assert stream.uniform() == derive_stream(0, 0).uniform()
 
     @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan, math.inf])
     def test_horizon_must_be_positive_and_finite(self, horizon):

@@ -40,8 +40,15 @@ from oracles import (
 )
 
 
+# (lam, m) far past the mode, where the upper tail P(Po(lam) >= m) underflows
+# or nearly does.
+COUNT_PAST_MODE = [(1.0, 200), (0.001, 120), (1.0, 150), (50.0, 400)]
+
+
 class TestCountPMF:
-    @pytest.mark.parametrize("lam,m", [(1.0, 0), (1.0, 1), (3.0, 2), (0.3, 4), (10.0, 5)])
+    @pytest.mark.parametrize(
+        "lam,m", [(1.0, 0), (1.0, 1), (3.0, 2), (0.3, 4), (10.0, 5)] + COUNT_PAST_MODE
+    )
     def test_pmf_matches_high_precision(self, lam, m):
         law = conditional_count_pmf(lam, m)
         for j in range(0, m + 30):
@@ -60,12 +67,13 @@ class TestCountPMF:
         total = sum(law.pmf(j) for j in range(m, m + 120))
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("lam,m", [(1.0, 0), (1.0, 2), (4.0, 1), (0.5, 3)])
+    @pytest.mark.parametrize("lam,m", [(1.0, 0), (1.0, 2), (4.0, 1), (0.5, 3)] + COUNT_PAST_MODE)
     def test_mean_identity(self, lam, m):
         law = conditional_count_pmf(lam, m)
-        assert law.mean() == pytest.approx(float(conditional_count_mean_mp(lam, m)), rel=1e-12)
+        assert law.mean() == pytest.approx(float(conditional_count_mean_mp(lam, m)), rel=1e-14)
         series = sum(j * law.pmf(j) for j in range(m, m + 150))
         assert law.mean() == pytest.approx(series, rel=1e-10)
+        assert 0.0 <= count_tv_distance([m, m, m + 1], law) <= 1.0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
