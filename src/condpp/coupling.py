@@ -138,8 +138,7 @@ class MatchingDistanceTestFunction(TestFunction):
     needs_locations = True
 
     def __init__(self, reference: Configuration, space: GroundSpace):
-        if reference.size and reference.dimension != space.dimension:
-            raise ValueError("reference dimension does not match the space")
+        _check_inputs(reference, 0, space, "reference")
         self.reference = reference
         self.space = space
         self.label = f"d1_to_reference[{reference.size}]"
@@ -189,9 +188,9 @@ class CoupledRun:
     final_counts: tuple[int, ...]
 
 
-def _start(initial, floors, space: GroundSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The start row of a list of chains, each checked on the space: its tags,
-    chain masks (bit c for chain c) and (n, dim) locations, first seen first."""
+def _start(initial, floors, space: GroundSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The start row of a list of chains, each checked on the space: chain
+    masks (bit c for chain c) and (n, dim) locations, merged by tag, first seen first."""
     locs, masks = {}, {}
     for c, cfg in enumerate(initial):
         _check_inputs(cfg, floors[c], space, f"chain {c}")
@@ -202,32 +201,32 @@ def _start(initial, floors, space: GroundSpace) -> tuple[np.ndarray, np.ndarray,
                 raise ValueError(f"tag {tag} has conflicting locations")
             masks[tag] |= 1 << c
     return (
-        np.array(list(masks), dtype=np.int64), np.array(list(masks.values()), dtype=np.int64),
+        np.array(list(masks.values()), dtype=np.int64),
         np.reshape(list(locs.values()), (-1, space.dimension)),
     )
 
 
-def _row(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row(parts) -> tuple[np.ndarray, np.ndarray]:
     """The start row of (locations, chain mask) parts, in the form _start
-    gives: the parts' points take tags 0, 1, ... in part order, each with its
-    part's chain mask.  Each part's locations are an (n, dim) array."""
+    gives: the parts' points in part order, each with its part's chain mask.
+    Each part's locations are an (n, dim) array."""
     masks = np.repeat([mask for _, mask in parts], [len(locs) for locs, _ in parts])
-    return np.arange(masks.size), masks, np.concatenate([locs for locs, _ in parts])
+    return masks, np.concatenate([locs for locs, _ in parts])
 
 
 def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None, max_events):
     """The engine: row r runs from starts[r] on streams[r], all rows in step.
 
-    A start is a row's (tags, chain masks, locations) as _start or _row give them;
+    A start is a row's (chain masks, locations) as _start or _row give them;
     consecutive rows that share one start object are filled together.  Rows
     stop at coalescence, or with a horizon run to it.  A location takes
     `dimension` uniforms, a victim one.  Each row's stream is read ahead in
     blocks, a first block of _READ_AHEAD and then refills as wide as the
     block already held; a batch of one steps its stream back over the unread
-    rest, so the stream stands after the run's last draw.  Tags and
-    locations are kept only for a location functional, which sees a chain's
-    locations in tag order.  Returns per-row integral, elapsed, events,
-    coalescence time (NaN if none), capped and final counts.
+    rest, so the stream stands after the run's last draw.  Locations are
+    kept only for a location functional, which sees a chain's points in
+    live-list order, as d1_bar reads multisets.  Returns per-row integral,
+    elapsed, events, coalescence time (NaN if none), capped and final counts.
     """
     k, rows, dim, lam = len(floors), len(starts), space.dimension, space.total_mass
     full, bits = (1 << k) - 1, np.left_shift(1, np.arange(k, dtype=np.int64))
@@ -238,23 +237,21 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
     firsts = [i for i in range(rows) if not i or starts[i] is not starts[i - 1]]
     # A row per quantity, so stopped rows leave by one take per array.  Floats:
     # t, integral, phi, tau, f of each chain.  Ints: stream position, live
-    # identities, next tag, row number, row in the wide arrays U, mask, tag and
-    # loc (which shed stopped rows only when they widen), count of each chain.
-    F, I = np.zeros((4 + k, rows)), np.zeros((5 + k, rows), dtype=np.int64)
-    views = lambda: (*F[:4], F[4:], *I[:5], I[5:])
-    t, integral, phi, tau, fvals, pos, nlive, born, row_id, here, counts = views()
+    # points, row number, row in the wide arrays U, mask and loc (which shed
+    # stopped rows only when they widen), count of each chain.
+    F, I = np.zeros((4 + k, rows)), np.zeros((4 + k, rows), dtype=np.int64)
+    views = lambda: (*F[:4], F[4:], *I[:4], I[4:])
+    t, integral, phi, tau, fvals, pos, nlive, row_id, here, counts = views()
     tau[:] = np.nan
     U = np.stack([s.uniforms(_READ_AHEAD) for s in streams])
     row_id[:] = here[:] = range(rows)
     mask = np.zeros((rows, max(len(starts[i][0]) for i in firsts) + 8), dtype=np.int64)
-    tag = np.zeros_like(mask) if keep_locs else None
     loc = np.zeros(mask.shape + (dim,)) if keep_locs else None
     for at, end in zip(firsts, firsts[1:] + [rows]):
-        tags, masks, locs = starts[at]
-        n = len(tags)
-        mask[at:end, :n], born[at:end], nlive[at:end] = masks, tags.max(initial=-1) + 1, n
+        masks, locs = starts[at]
+        mask[at:end, : len(masks)], nlive[at:end] = masks, len(masks)
         if keep_locs:
-            tag[at:end, :n], loc[at:end, :n] = tags, locs
+            loc[at:end, : len(masks)] = locs
     counts[:] = ((mask & bits[:, None, None]) != 0).sum(axis=2)
     coalesced = lambda: counts.min(axis=0) == nlive
     table, reads = np.empty(0), np.arange(3)[:, None]
@@ -266,7 +263,7 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
             for c in range(k):
                 if chains >> c & 1:
                     slots = (mask[row, : nlive[i]] & bits[c]).nonzero()[0]
-                    fvals[c, i] = f.from_locations(loc[row, slots[tag[row, slots].argsort()]])
+                    fvals[c, i] = f.from_locations(loc[row, slots])
         phi[rows_changed] = (coef * fvals[:, rows_changed]).sum(axis=0)
 
     if keep_locs:
@@ -287,7 +284,7 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
         else:
             if pos.max() + 2 + max(dim, 1) > U.shape[1] or nlive.max() >= mask.shape[1]:
                 wider = lambda a: np.concatenate([a[here], np.zeros_like(a[here])], axis=1)
-                U, mask, tag, loc = (a if a is None else wider(a) for a in (U, mask, tag, loc))
+                U, mask, loc = (a if a is None else wider(a) for a in (U, mask, loc))
                 half = U.shape[1] // 2
                 U[:, half:] = [streams[r].uniforms(half) for r in row_id.tolist()]
                 here[:] = range(here.size)
@@ -309,7 +306,7 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
                 break
             keep = np.flatnonzero(~done)
             F, I, u, rate, ndt = (a.take(keep, -1) for a in (F, I, u, rate, ndt))
-            t, integral, phi, tau, fvals, pos, nlive, born, row_id, here, counts = views()
+            t, integral, phi, tau, fvals, pos, nlive, row_id, here, counts = views()
         integral -= ndt * phi
         t -= ndt
         imm = u[1] * rate < lam
@@ -322,14 +319,12 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
         counts -= (drop & bits[:, None]) != 0
         if keep_locs and imm.any():
             into = np.flatnonzero(imm)
-            at = (here[into], nlive[into])
-            tag[at], born[into] = born[into], born[into] + 1
             drawn = U[here[into, None], pos[into, None] + 2 + np.arange(dim)]
-            loc[at] = space.sample(_Drawn(drawn.ravel()), into.size)
+            loc[here[into], nlive[into]] = space.sample(_Drawn(drawn.ravel()), into.size)
         gone = np.flatnonzero(new == 0)
         if gone.size:
             row, last = here[gone], nlive[gone] - 1
-            for a in (mask, tag, loc) if keep_locs else (mask,):
+            for a in (mask, loc) if keep_locs else (mask,):
                 a[row, slot[gone]] = a[row, last]
             mask[row, last], nlive[gone] = 0, last
         nlive += imm
@@ -338,7 +333,7 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
             refresh(np.where(imm, full, drop))
     if rows == 1:
         streams[0]._unread(U.shape[1] - pos[0])
-    return *out_F[[1, 0]], out_events, out_F[3], out_capped, out_I[5:].T
+    return *out_F[[1, 0]], out_events, out_F[3], out_capped, out_I[4:].T
 
 
 def run_coupled_chains(
@@ -626,11 +621,11 @@ def _stein_job(xi: Configuration, m: int, space: GroundSpace, replicas: int, see
     components 1..n are one death term per point of xi, active above the
     floor.  Component i reads streams i * replicas onwards.  The start rows
     are _row's of [xi + alpha, xi] and [xi, xi - x]: xi's points in both
-    chains and alpha, or x, alone in chain 0.  The immigration row's tags
-    and masks are built once; a replica draws only alpha.
+    chains and alpha, or x, alone in chain 0.  The immigration row's masks
+    are built once; a replica draws only alpha.
     """
     at = xi.locations
-    tags, with_alpha, _ = _row([(at, 0b11), (np.empty((1, space.dimension)), 0b01)])
+    with_alpha, _ = _row([(at, 0b11), (np.empty((1, space.dimension)), 0b01)])
     dying = [
         _row([(at[:i], 0b11), (at[i : i + 1], 0b01), (at[i + 1 :], 0b11)])
         for i in range(xi.size if xi.size > m else 0)
@@ -640,7 +635,7 @@ def _stein_job(xi: Configuration, m: int, space: GroundSpace, replicas: int, see
         i = r // replicas
         if i:
             return dying[i - 1]
-        return tags, with_alpha, np.concatenate([at, space.sample(stream, 1)])
+        return with_alpha, np.concatenate([at, space.sample(stream, 1)])
 
     return component, seed, replicas * (1 + len(dying))
 

@@ -371,9 +371,6 @@ class Configuration:
         keep = [i for i, t in enumerate(self.tags) if t != tag]
         return Configuration(tuple(self.tags[i] for i in keep), self.locations[keep])
 
-    def location_of(self, tag: int) -> np.ndarray:
-        return self.locations[self.tags.index(tag)]
-
 
 def configuration_from_locations(locations, dimension: int | None = None) -> Configuration:
     """Configuration with fresh tags 0..n-1 from an (n, d) array (or empty).

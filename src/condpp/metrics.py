@@ -2,8 +2,10 @@
 
 d1_bar(xi, eta) matches the smaller configuration injectively into the larger
 at minimum ground cost, charges 1 per unmatched point, and normalizes by the
-larger size; it is a metric bounded by 1 on finite configurations.  A single
-pair is solved with scipy's rectangular Hungarian solver in any space;
+larger size; it is a metric bounded by 1 on finite configurations, and a
+function of the two point multisets alone: neither point order nor operand
+order moves a bit of it.  A single pair is solved with scipy's rectangular
+Hungarian solver in any space, on points in lexicographic order;
 scipy.optimize is loaded by the first such solve.
 
 d2_bar is the induced Wasserstein-type distance between point process laws;
@@ -54,12 +56,17 @@ def _d1_locs(small: np.ndarray, large: np.ndarray, space: GroundSpace) -> float:
 
 
 def _d1_pair_locs(a: np.ndarray, b: np.ndarray, space: GroundSpace) -> float:
-    """Order the operands from the data, not the call, then evaluate.
+    """Order the points and the operands from the data, not the call, then evaluate.
 
+    With two points or more on each side, each side's points go in
+    lexicographic order; the other branches of _d1_locs ignore point order.
     Size puts the smaller side first; equal-size ties break on the raw bytes
-    of the location arrays.  Both call orders therefore run the identical
-    computation, making symmetry hold bit-for-bit rather than to rounding.
+    of the sorted arrays.  Every order of the same two multisets therefore
+    runs the identical computation, so symmetry holds bit for bit.
     """
+    if min(a.shape[0], b.shape[0]) > 1:
+        lex = lambda x: np.sort(x, axis=0) if x.shape[1] == 1 else x[np.lexsort(x.T[::-1])]
+        a, b = lex(a), lex(b)
     if a.shape[0] > b.shape[0] or (a.shape[0] == b.shape[0] and a.tobytes() > b.tobytes()):
         a, b = b, a
     return _d1_locs(a, b, space)

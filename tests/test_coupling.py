@@ -197,6 +197,15 @@ class TestTestFunctions:
             xi = configuration_from_locations(space.sample(stream, 5))
             assert f(xi) == d1_bar(xi, f.reference, space)
 
+    @pytest.mark.parametrize(
+        "points", [[[1.5]], [[math.nan]], [[0.5], [-0.25]], [[0.5, 0.5]]],
+        ids=["off", "nan", "one-of-two-off", "plane-point"],
+    )
+    def test_matching_function_refuses_a_reference_off_the_space(self, points):
+        reference = Configuration(tuple(range(len(points))), np.array(points))
+        with pytest.raises(ValueError, match="reference"):
+            MatchingDistanceTestFunction(reference, unit_interval(3.0))
+
     def test_count_function_adjacent_size_gap(self):
         # adding one point moves d1 by at least 1/(j+1), which is exactly
         # the allowed count-rule increment

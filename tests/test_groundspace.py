@@ -300,7 +300,7 @@ class TestConfiguration:
         base = configuration_from_locations([[0.2], [0.8]])
         grown = base.with_point(99, np.array([0.5]))
         assert grown.size == 3
-        assert grown.location_of(99)[0] == 0.5
+        assert grown.locations[-1][0] == 0.5
         back = grown.without_tag(99)
         assert back == base
         assert base.size == 2  # original untouched

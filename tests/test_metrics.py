@@ -135,6 +135,22 @@ class TestD1Axioms:
             d = random_config(stream, SPACE, max_size=6)
             assert d1_bar(c, d, SPACE) == d1_bar(d, c, SPACE)
 
+    @pytest.mark.parametrize("space", [SPACE, SPACE2], ids=["line", "square"])
+    def test_permuted_points_move_no_bit(self, space):
+        # d1_bar is a function of the two point multisets: no order of either
+        # operand's points, nor of the operands, moves a bit of it
+        stream, rng = derive_stream(19, 0), np.random.default_rng(19)
+        for _ in range(400):
+            m = 2 + stream.integer(5)
+            a = space.sampler(stream, m)
+            b = space.sampler(stream, m + stream.integer(4))
+            want = d1_bar(configuration_from_locations(a), configuration_from_locations(b), space)
+            for _ in range(3):
+                pa = configuration_from_locations(a[rng.permutation(len(a))])
+                pb = configuration_from_locations(b[rng.permutation(len(b))])
+                assert d1_bar(pa, pb, space) == want
+                assert d1_bar(pb, pa, space) == want
+
     def test_zero_iff_equal_multisets(self):
         stream = derive_stream(41, 0)
         for _ in range(60):
