@@ -44,7 +44,7 @@ from .estimates import MCEstimate
 from .groundspace import (
     Configuration, GroundSpace, RandomStream, _Drawn, derive_stream, derive_streams,
 )
-from .metrics import _d1_pair_locs
+from .metrics import _d1_locs, _lex
 from .simulate import _conditional_count, sample_conditional_poisson
 
 __all__ = [
@@ -79,7 +79,10 @@ class TestFunction:
     """Functional on configurations, 1-Lipschitz for the matching distance.
 
     Subclasses set needs_locations and implement from_count or from_locations;
-    calling the object on a Configuration dispatches appropriately.
+    calling the object on a Configuration dispatches appropriately.  The
+    coupled engine hands from_locations a chain's points in no fixed order,
+    so its value must depend on the point multiset alone, bit for bit, as
+    d1_bar does.
     """
 
     needs_locations: bool = True
@@ -140,11 +143,12 @@ class MatchingDistanceTestFunction(TestFunction):
     def __init__(self, reference: Configuration, space: GroundSpace):
         _check_inputs(reference, 0, space, "reference")
         self.reference = reference
+        self._sorted = _lex(reference.locations)
         self.space = space
         self.label = f"d1_to_reference[{reference.size}]"
 
     def from_locations(self, locations: np.ndarray) -> float:
-        return _d1_pair_locs(locations, self.reference.locations, self.space)
+        return _d1_locs(_lex(locations), self._sorted, self.space)
 
 
 def _default_count_rule(j: int) -> float:

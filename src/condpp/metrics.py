@@ -37,17 +37,23 @@ def _check_pair(xi: Configuration, eta: Configuration, space: GroundSpace) -> No
         raise ValueError("configuration dimension does not match the ground space")
 
 
-def _d1_locs(small: np.ndarray, large: np.ndarray, space: GroundSpace) -> float:
-    """d1_bar from location arrays with len(small) <= len(large)."""
-    m, n = small.shape[0], large.shape[0]
+def _d1_locs(a: np.ndarray, b: np.ndarray, space: GroundSpace) -> float:
+    """d1_bar from two location arrays, each in lexicographic point order (_lex).
+
+    Size puts the smaller side first, and equal sizes break on the raw bytes,
+    so every order of the same two multisets runs one computation, bit for bit.
+    """
+    if a.shape[0] > b.shape[0] or (a.shape[0] == b.shape[0] and a.tobytes() > b.tobytes()):
+        a, b = b, a
+    m, n = a.shape[0], b.shape[0]
     if n == 0:
         return 0.0
     if m == 0:
         return 1.0
     if m == 1:
-        w = float(space.pairwise(small, large).min())
+        w = float(space.pairwise(a, b).min())
         return (w + (n - 1)) / n
-    costs = space.pairwise(small, large)
+    costs = space.pairwise(a, b)
     # Looked up on transport at each call: its first solve imports
     # scipy.optimize and rebinds the name to scipy's solver.
     rows, cols = transport.linear_sum_assignment(costs)
@@ -55,27 +61,14 @@ def _d1_locs(small: np.ndarray, large: np.ndarray, space: GroundSpace) -> float:
     return (w + (n - m)) / n
 
 
-def _d1_pair_locs(a: np.ndarray, b: np.ndarray, space: GroundSpace) -> float:
-    """Order the points and the operands from the data, not the call, then evaluate.
-
-    With two points or more on each side, each side's points go in
-    lexicographic order; the other branches of _d1_locs ignore point order.
-    Size puts the smaller side first; equal-size ties break on the raw bytes
-    of the sorted arrays.  Every order of the same two multisets therefore
-    runs the identical computation, so symmetry holds bit for bit.
-    """
-    if min(a.shape[0], b.shape[0]) > 1:
-        lex = lambda x: np.sort(x, axis=0) if x.shape[1] == 1 else x[np.lexsort(x.T[::-1])]
-        a, b = lex(a), lex(b)
-    if a.shape[0] > b.shape[0] or (a.shape[0] == b.shape[0] and a.tobytes() > b.tobytes()):
-        a, b = b, a
-    return _d1_locs(a, b, space)
+def _lex(x: np.ndarray) -> np.ndarray:
+    return x[np.lexsort(x.T[::-1])]
 
 
 def d1_bar(xi: Configuration, eta: Configuration, space: GroundSpace) -> float:
     """Normalized minimum-cost matching distance between two configurations."""
     _check_pair(xi, eta, space)
-    return _d1_pair_locs(xi.locations, eta.locations, space)
+    return _d1_locs(_lex(xi.locations), _lex(eta.locations), space)
 
 
 @dataclass(frozen=True)
@@ -90,9 +83,10 @@ class D2Estimate:
 
 def _rows_block(space: GroundSpace, p_locs: list, q_locs: list) -> np.ndarray:
     out = np.empty((len(p_locs), len(q_locs)))
-    for i, a in enumerate(p_locs):
+    q_locs = [_lex(b) for b in q_locs]  # each configuration sorted once, not once a pair
+    for i, a in enumerate(map(_lex, p_locs)):
         for j, b in enumerate(q_locs):
-            out[i, j] = _d1_pair_locs(a, b, space)
+            out[i, j] = _d1_locs(a, b, space)
     return out
 
 
