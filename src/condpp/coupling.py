@@ -116,7 +116,7 @@ class CountTestFunction(TestFunction):
 
     The increment condition is what 1-Lipschitz continuity for the matching
     distance demands of a count functional; it is checked on construction
-    for counts up to 1000.
+    for counts up to 1000, where a value that is not finite fails it.
     """
 
     needs_locations = False
@@ -126,9 +126,9 @@ class CountTestFunction(TestFunction):
         self.label = label
         values = [rule(j) for j in range(_COUNT_CHECK_UPTO + 1)]
         for j, (a, b) in enumerate(zip(values, values[1:])):
-            if abs(b - a) > 1.0 / (j + 1) + 1e-12:
+            if not abs(b - a) <= 1.0 / (j + 1) + 1e-12:  # NaN fails too
                 raise ValueError(
-                    f"count rule violates the Lipschitz increment at j={j}"
+                    f"count rule violates the Lipschitz increment at j={j}: {a!r} to {b!r}"
                 )
 
     def from_count(self, count: int) -> float:
@@ -169,9 +169,9 @@ def reference_test_functions(space: GroundSpace) -> tuple[TestFunction, ...]:
     five-point spread, plus a saturating count functional.
     """
     diag = lambda xs: np.array([[x] * space.dimension for x in xs], dtype=float)
-    empty = Configuration((), np.zeros((0, space.dimension)))
-    single = Configuration((0,), diag([0.5]))
-    spread = Configuration(tuple(range(5)), diag([0.1, 0.3, 0.5, 0.7, 0.9]))
+    empty = Configuration(np.zeros((0, space.dimension)))
+    single = Configuration(diag([0.5]))
+    spread = Configuration(diag([0.1, 0.3, 0.5, 0.7, 0.9]))
     return (
         MatchingDistanceTestFunction(empty, space),
         MatchingDistanceTestFunction(single, space),
@@ -194,19 +194,20 @@ class CoupledRun:
 
 def _start(initial, floors, space: GroundSpace) -> tuple[np.ndarray, np.ndarray]:
     """The start row of a list of chains, each checked on the space: chain
-    masks (bit c for chain c) and (n, dim) locations, merged by tag, first seen first."""
-    locs, masks = {}, {}
+    masks (bit c for chain c) and (n, dim) locations.  A point is keyed by
+    its coordinates and its copy number among that location's copies in its
+    chain, so chains share points by multiset intersection; first seen first."""
+    masks = {}
     for c, cfg in enumerate(initial):
         _check_inputs(cfg, floors[c], space, f"chain {c}")
-        for tag, loc in zip(cfg.tags, cfg.locations):
-            if tag not in masks:
-                locs[tag], masks[tag] = loc, 0
-            elif not np.array_equal(locs[tag], loc):
-                raise ValueError(f"tag {tag} has conflicting locations")
-            masks[tag] |= 1 << c
+        copies = {}
+        for loc in map(tuple, cfg.locations.tolist()):
+            key = loc, copies.setdefault(loc, 0)
+            copies[loc] += 1
+            masks[key] = masks.get(key, 0) | 1 << c
     return (
         np.array(list(masks.values()), dtype=np.int64),
-        np.reshape(list(locs.values()), (-1, space.dimension)),
+        np.reshape([loc for loc, _ in masks], (-1, space.dimension)),
     )
 
 
@@ -352,8 +353,10 @@ def run_coupled_chains(
 ) -> CoupledRun:
     """Drive K chains through the shared union-race event stream.
 
-    Chains are given as configurations whose shared tags declare matched
-    points (shared tags must agree on location).  floors[c] is the floor m
+    Chains are given as configurations and share points by multiset
+    intersection: the k-th copy of a location in one chain is the k-th copy
+    in every chain that holds k or more, and the run lists its points first
+    seen first over chains 0..K-1.  floors[c] is the floor m
     of chain c; every initial configuration must lie in the space and sit at
     or above its floor, which is checked before any draw.
     The integral accumulated is int sum_c coefficients[c] f(chain c) dt,

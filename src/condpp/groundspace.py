@@ -2,7 +2,8 @@
 
 A ground space is a bounded metric space Gamma carrying a finite intensity
 measure of total mass Lambda; its metric d0 is truncated at 1.  Finite point
-configurations on Gamma are the state space of everything downstream.  All
+configurations on Gamma, counting measures with no names on their points,
+are the state space of everything downstream.  All
 randomness flows through the streams derive_stream(master_seed, index): numpy
 PCG64 generators seeded through SeedSequence spawn keys, so that every
 simulation in the package is reproducible from (master_seed, index) alone and
@@ -275,7 +276,8 @@ def _cube_sampler(dimension: int, stream: RandomStream, size: int) -> np.ndarray
 
 
 def _cube_contains(x: np.ndarray) -> bool:
-    return bool(np.all(x >= 0.0) and np.all(x <= 1.0))
+    # Python floats: a point is a few coordinates, and NaN fails both bounds.
+    return all(0.0 <= v <= 1.0 for v in np.asarray(x, float).ravel().tolist())
 
 
 def is_unit_line(space: GroundSpace) -> bool:
@@ -313,29 +315,21 @@ def unit_interval(total_mass: float) -> GroundSpace:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """Finite point configuration: tagged atoms with locations.
+    """Finite point configuration: a point multiset, held as an (n, d) array.
 
-    Tags are identity labels used by couplings to track matched points across
-    chains; they carry no statistical meaning.  Equality and hashing use the
-    location multiset only, so two configurations with the same points but
-    different tags compare equal.
+    Row order is storage order only.  Equality and hashing read the location
+    multiset, so two configurations with the same points in any order
+    compare equal.
     """
 
-    tags: tuple[int, ...]
     locations: np.ndarray  # (size, dimension), read-only
 
     def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=float)
+        locs = np.array(self.locations, dtype=float)
         if locs.ndim != 2:
             raise ValueError("locations must be an (n, d) array")
-        if len(self.tags) != locs.shape[0]:
-            raise ValueError("one tag per location required")
-        if len(set(self.tags)) != len(self.tags):
-            raise ValueError("tags must be distinct")
-        locs = locs.copy()
         locs.setflags(write=False)
         object.__setattr__(self, "locations", locs)
-        object.__setattr__(self, "tags", tuple(int(t) for t in self.tags))
 
     @property
     def size(self) -> int:
@@ -359,21 +353,9 @@ class Configuration:
     def __hash__(self) -> int:
         return hash(self.location_multiset())
 
-    def with_point(self, tag: int, location: np.ndarray) -> "Configuration":
-        if tag in self.tags:
-            raise ValueError(f"tag {tag} already present")
-        loc = np.asarray(location, dtype=float).reshape(1, self.dimension)
-        return Configuration(self.tags + (tag,), np.vstack([self.locations, loc]))
-
-    def without_tag(self, tag: int) -> "Configuration":
-        if tag not in self.tags:
-            raise KeyError(f"tag {tag} not present")
-        keep = [i for i, t in enumerate(self.tags) if t != tag]
-        return Configuration(tuple(self.tags[i] for i in keep), self.locations[keep])
-
 
 def configuration_from_locations(locations, dimension: int | None = None) -> Configuration:
-    """Configuration with fresh tags 0..n-1 from an (n, d) array (or empty).
+    """Configuration from an (n, d) array (or empty).
 
     dimension is required only when locations is empty, to give the empty
     configuration a definite coordinate dimension.
@@ -385,7 +367,7 @@ def configuration_from_locations(locations, dimension: int | None = None) -> Con
         locs = locs.reshape(0, dimension)
     if locs.ndim == 1:
         locs = locs.reshape(-1, 1)
-    return Configuration(tuple(range(locs.shape[0])), locs)
+    return Configuration(locs)
 
 
 def empty_configuration(dimension: int = 1) -> Configuration:

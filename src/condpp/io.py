@@ -2,8 +2,9 @@
 
 Artifacts are byte-stable: keys are sorted, separators fixed, and floats go
 through Python's shortest round-trip repr, so equal inputs and seeds yield
-byte-identical files.  Identity tags are regenerated on load and never
-serialized.  Malformed input raises SchemaError with the offending line or
+byte-identical files.  A configuration is its point list; a trajectory's
+event tags are point indices (initial rows 0..n-1, then immigrants in order
+of arrival).  Malformed input raises SchemaError with the offending line or
 field named.
 """
 
@@ -71,8 +72,7 @@ def config_from_obj(obj: Any, where: str = "configuration") -> Configuration:
     for i, row in enumerate(points):
         if not isinstance(row, list) or len(row) != dim:
             raise SchemaError(f"{where}: point {i} is not a length-{dim} coordinate list")
-    arr = np.asarray(points, dtype=float).reshape(len(points), dim)
-    return Configuration(tuple(range(len(points))), arr)
+    return Configuration(np.asarray(points, dtype=float).reshape(len(points), dim))
 
 
 def write_configurations(path, cfgs: Iterable[Configuration]) -> None:

@@ -32,9 +32,14 @@ from .transport import solve_balanced_transport
 __all__ = ["d1_bar", "d2_bar_empirical", "D2Estimate"]
 
 
-def _check_pair(xi: Configuration, eta: Configuration, space: GroundSpace) -> None:
-    if xi.dimension != space.dimension or eta.dimension != space.dimension:
-        raise ValueError("configuration dimension does not match the ground space")
+def _check_points(cfgs, space: GroundSpace) -> None:
+    """Refuse a configuration off the space's dimension or with a point the
+    space does not contain (NaN lies in none)."""
+    for cfg in cfgs:
+        if cfg.dimension != space.dimension:
+            raise ValueError("configuration dimension does not match the ground space")
+        if not all(space.contains(x) for x in cfg.locations):
+            raise ValueError("configuration points must lie in the space")
 
 
 def _d1_locs(a: np.ndarray, b: np.ndarray, space: GroundSpace) -> float:
@@ -66,8 +71,9 @@ def _lex(x: np.ndarray) -> np.ndarray:
 
 
 def d1_bar(xi: Configuration, eta: Configuration, space: GroundSpace) -> float:
-    """Normalized minimum-cost matching distance between two configurations."""
-    _check_pair(xi, eta, space)
+    """Normalized minimum-cost matching distance between two configurations
+    of the space; a point off the space, or NaN, is refused."""
+    _check_points((xi, eta), space)
     return _d1_locs(_lex(xi.locations), _lex(eta.locations), space)
 
 
@@ -91,12 +97,15 @@ def _rows_block(space: GroundSpace, p_locs: list, q_locs: list) -> np.ndarray:
 
 
 def _padded_by_size(locs: list) -> tuple:
-    """(order, sizes, rows) by size; rows are sorted coordinates padded with +inf."""
+    """(order, sizes, rows) by size; rows are sorted coordinates padded with +inf.
+    Refuses a coordinate off [0, 1], NaN included, before any DP."""
     sizes = np.array([a.shape[0] for a in locs], dtype=np.intp)
     order = np.argsort(sizes, kind="stable")
     rows = np.full((len(locs), sizes.max(initial=0)), np.inf)
-    coords = [locs[i][:, 0] for i in order]
-    rows[np.arange(rows.shape[1]) < sizes[order, None]] = np.concatenate([*coords, np.empty(0)])
+    coords = np.concatenate([*(locs[i][:, 0] for i in order), np.empty(0)])
+    if not ((coords >= 0.0) & (coords <= 1.0)).all():
+        raise ValueError("configuration points must lie in the space")
+    rows[np.arange(rows.shape[1]) < sizes[order, None]] = coords
     return order, sizes[order], np.sort(rows, axis=1)
 
 
@@ -153,12 +162,14 @@ def pairwise_d1_matrix(
     one sorted-matching DP per configuration size in this process, within
     rounding of the Hungarian solves.  In any other space each pair is a
     Hungarian solve, and only then do rows fan out to `workers` processes.
-    Either way the matrix does not depend on `workers`.
+    Either way the matrix does not depend on `workers`, and a point off the
+    space, or NaN, is refused before any solve.
     """
     p_locs = [p.locations for p in ps]
     q_locs = [q.locations for q in qs]
     if is_unit_line(space):
         return _unit_line_matrix(p_locs, q_locs)
+    _check_points((*ps, *qs), space)
     if workers <= 1 or len(ps) < 2 * workers:
         return _rows_block(space, p_locs, q_locs)
     blocks = np.array_split(np.arange(len(ps)), workers)

@@ -135,7 +135,7 @@ def sample_poisson_process(space: GroundSpace, stream: RandomStream) -> Configur
     """One draw of the (unconditional) Poisson process on the space."""
     lam = _check_space_lam(space)
     n = _poisson_count(lam, stream)
-    return Configuration(tuple(range(n)), space.sample(stream, n))
+    return Configuration(space.sample(stream, n))
 
 
 def _conditional_count(space: GroundSpace, m: int, stream: RandomStream) -> int:
@@ -168,14 +168,13 @@ def sample_conditional_poisson(
     accepted count (after _conditional_count) leaves the law unchanged.
     """
     n = _conditional_count(space, m, stream)
-    return Configuration(tuple(range(n)), space.sample(stream, n))
+    return Configuration(space.sample(stream, n))
 
 
 def bernoulli_site_configuration(n: int, fired: np.ndarray) -> Configuration:
     """Configuration at sites i/n, i = 1..n, for the fired indicator mask."""
     idx = np.flatnonzero(fired) + 1
-    locs = (idx / n).reshape(-1, 1).astype(float)
-    return Configuration(tuple(range(len(idx))), locs)
+    return Configuration((idx / n).reshape(-1, 1))
 
 
 def _indicator_attempts(
@@ -223,23 +222,19 @@ def sample_binomial_process(
     """
     fired = _indicator_attempts(n, p, conditional_m, stream)
     count = int(fired.sum())
-    return Configuration(tuple(range(count)), stream.uniforms(count).reshape(count, 1))
-
-
-def _first_immigrant_tag(tags) -> int:
-    return max(tags, default=-1) + 1
+    return Configuration(stream.uniforms(count).reshape(count, 1))
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Piecewise-constant path of the chain over [0, horizon], held as columns.
 
+    A point's tag is its index: the initial rows are 0..n-1 and immigrants
+    n, n + 1, ... in order of arrival, immigrant n + j at row j of places.
     Event k happens at times[k]; codes[k] is None for an immigration and the
-    removed point's tag for a death.  Immigrants are tagged max(initial.tags)
-    + 1, + 2, ... in order of arrival, and row j of places is the location
-    of the j-th.  events rebuilds the (time, kind, tag, location) tuples,
-    where kind is "immigration" (location is a coordinate tuple) or "death"
-    (location is None and tag names the removed point).
+    removed point's tag for a death.  events rebuilds the (time, kind, tag,
+    location) tuples, where kind is "immigration" (location is a coordinate
+    tuple) or "death" (location is None and tag names the removed point).
     """
 
     initial: Configuration
@@ -257,8 +252,8 @@ class Trajectory:
         next one or a death removes a point that is not alive: the columns
         could not hold either.
         """
-        alive = set(initial.tags)
-        tag = _first_immigrant_tag(initial.tags)
+        alive = set(range(initial.size))
+        tag = initial.size
         times, codes, places = [], [], []
         for i, (time, kind, got, loc) in enumerate(events):
             if kind == "immigration":
@@ -279,7 +274,7 @@ class Trajectory:
 
     @property
     def events(self) -> tuple[tuple[float, str, int, tuple | None], ...]:
-        tags = itertools.count(_first_immigrant_tag(self.initial.tags))
+        tags = itertools.count(self.initial.size)
         places = zip(*self.places.T)
         return tuple(
             (time, "death", code, None)
@@ -306,15 +301,9 @@ class Trajectory:
         # Live points in order of arrival: the start, then the immigrants so
         # far, less every tag a death up to t removed; tags are never reused.
         codes = self.codes[: bisect.bisect_right(self.times, t)]
-        first = _first_immigrant_tag(self.initial.tags)
         dead = set(codes)
-        kept = [tag not in dead for tag in self.initial.tags]
-        arrivals = sorted(set(range(first, first + codes.count(None))).difference(dead))
-        tags = tuple(itertools.compress(self.initial.tags, kept)) + tuple(arrivals)
-        locs = np.concatenate(
-            (self.initial.locations[kept], self.places[[tag - first for tag in arrivals]])
-        )
-        return Configuration(tags, locs)
+        live = [i for i in range(self.initial.size + codes.count(None)) if i not in dead]
+        return Configuration(np.concatenate((self.initial.locations, self.places))[live])
 
     def final_configuration(self) -> Configuration:
         return self.configuration_at(self.horizon)
@@ -341,7 +330,8 @@ def simulate_cid_chain(
 
     Dynamics: immigration at rate Lambda with location from the normalized
     intensity; each point dies at unit rate, but deaths are suppressed while
-    the population sits at the floor m.  The stationary law is Po^(m).
+    the population sits at the floor m.  The stationary law is Po^(m).  A
+    start point off the space, or NaN, is refused before any draw.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -349,13 +339,15 @@ def simulate_cid_chain(
         raise ValueError("initial configuration below the floor m")
     if initial.dimension != space.dimension:
         raise ValueError("configuration dimension does not match the ground space")
+    if not all(space.contains(x) for x in initial.locations):
+        raise ValueError("initial configuration's points must lie in the space")
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError("horizon must be positive and finite")
     lam = space.total_mass  # the chain inverts no count, so any finite mass runs
 
     dim = space.dimension
-    live = list(initial.tags)
-    first = tag = _first_immigrant_tag(live)
+    live = list(range(initial.size))
+    first = tag = initial.size
     times: list[float] = []
     codes: list[int | None] = []
     drawn: list[float] = []  # the immigrants' location uniforms, dim each

@@ -90,7 +90,7 @@ def verify_p_survival(
 
 
 def _fixed_size_configuration(size: int, space, stream) -> Configuration:
-    return Configuration(tuple(range(size)), space.sample(stream, size))
+    return Configuration(space.sample(stream, size))
 
 
 def verify_stein(

@@ -209,9 +209,12 @@ def coupled_chain_events(
 ):
     """The coupled union race of K chains, one event at a time.
 
-    initial[c] is chain c's start (anything with tags and an (n, d) array of
-    locations) and floors[c] its floor.  The live list holds every identity
-    alive in at least one chain: first seen first over chains 0..K-1, then
+    initial[c] is chain c's start (anything with an (n, d) array of
+    locations) and floors[c] its floor.  Chains share points by multiset
+    intersection: a start point's identity is its coordinates and its copy
+    number among that location's copies in its chain, and identities are
+    numbered first seen first over chains 0..K-1.  The live list holds every
+    identity alive in at least one chain: the start's in number order, then
     immigrants appended, and an identity is swap-removed from it only once no
     chain holds it.  Per event: a holding-time uniform at rate lam plus the
     live count, a type uniform, then either one point from sample(stream, 1)
@@ -219,22 +222,29 @@ def coupled_chain_events(
     chain; a victim leaves every chain that holds it and sits above its floor.
 
     The integral is int sum_c coefficients[c] f(chain c) dt, summed in chain
-    order, with f called on a chain's locations in tag order.  Without a
+    order, with f called on a chain's locations in identity order.  Without a
     horizon the run stops once every chain holds every live identity
     (coalescence); with one it runs to the horizon, and the coalescence time
     is the first time the chains agree.  A run that reaches max_events events
     first stops there, capped.
 
     Returns (integral, elapsed, events, coalescence time or None, capped,
-    final counts) and the states: (time, each chain's tags in tag order) at
+    final counts) and the states: (time, each chain's identities in order) at
     the start and after every event.  The library's coupled engine must match
     this loop bit for bit and leave its stream where this loop leaves it.
     """
     dim = np.shape(initial[0].locations)[1]
-    where, chains = {}, [set(cfg.tags) for cfg in initial]
+    ids, where, chains = {}, {}, []
     for cfg in initial:
-        for tag, loc in zip(cfg.tags, cfg.locations):
-            where.setdefault(tag, loc)
+        chain, copies = set(), {}
+        for loc in map(tuple, np.asarray(cfg.locations).tolist()):
+            key = loc, copies.setdefault(loc, 0)
+            copies[loc] += 1
+            if key not in ids:
+                ids[key] = len(ids)
+                where[ids[key]] = loc
+            chain.add(ids[key])
+        chains.append(chain)
     live = list(where)
     next_tag = max(live, default=-1) + 1
     use_f = f is not None and coefficients is not None and any(coefficients)

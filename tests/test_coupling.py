@@ -52,7 +52,7 @@ def make_xi(lam, size, seed=0):
 
 
 def on_locations(f):
-    """f as the scalar oracle calls it: on one chain's locations in tag order."""
+    """f as the scalar oracle calls it: on one chain's locations in identity order."""
     if f is None:
         return None
     if f.needs_locations:
@@ -60,10 +60,14 @@ def on_locations(f):
     return lambda locs: f.from_count(len(locs))
 
 
+def plus(cfg, point):
+    """cfg with one more point, after its own."""
+    return Configuration(np.vstack([cfg.locations, np.reshape(point, (1, -1))]))
+
+
 def pair_initials(xi, alpha):
-    """[xi + alpha, xi], tagged so that xi's points are matched in both."""
-    base = Configuration(tuple(range(xi.size)), xi.locations)
-    return [base.with_point(xi.size, alpha), base]
+    """[xi + alpha, xi]: xi's points are shared by both chains."""
+    return [plus(xi, alpha), xi]
 
 
 def as_rows(initial, floors, space):
@@ -109,15 +113,16 @@ def start_rows_against_decoded(space, xi, m, monkeypatch):
     f, replicas, seed, size, dim = CountTestFunction(count_f_rule), 3, 17, xi.size, xi.dimension
     a, b = np.full(dim, 0.25), np.full(dim, 0.75)
     with_a, base = pair_initials(xi, a)
-    with_ab, with_b = with_a.with_point(size + 1, b), base.with_point(size + 1, b)
+    with_ab, with_b = plus(with_a, b), plus(base, b)
 
     def partner(r, twin):
-        drawn = sample_conditional_poisson(space, m, twin)
-        return [xi, Configuration(tuple(range(size, size + drawn.size)), drawn.locations)]
+        return [xi, sample_conditional_poisson(space, m, twin)]
 
     def stein(r, twin):
         i = r // replicas
-        return [base, base.without_tag(i - 1)] if i else pair_initials(xi, space.sample_one(twin))
+        if i:
+            return [base, Configuration(np.delete(base.locations, i - 1, axis=0))]
+        return pair_initials(xi, space.sample_one(twin))
 
     deaths = size if size > m else 0
     cases = [
@@ -170,6 +175,16 @@ class TestTestFunctions:
         with pytest.raises(ValueError):
             CountTestFunction(lambda j: float(j))  # increments of 1
 
+    @pytest.mark.parametrize(
+        "rule",
+        [lambda j: math.nan, lambda j: math.inf, lambda j: -math.inf,
+         lambda j: math.nan if j == 500 else 0.0],
+        ids=["nan", "inf", "-inf", "nan-at-500"],
+    )
+    def test_count_rule_must_be_finite(self, rule):
+        with pytest.raises(ValueError, match="Lipschitz increment"):
+            CountTestFunction(rule)
+
     def test_constant_function(self):
         f = ConstantTestFunction(0.7)
         assert f(empty_configuration()) == 0.7
@@ -202,7 +217,7 @@ class TestTestFunctions:
         ids=["off", "nan", "one-of-two-off", "plane-point"],
     )
     def test_matching_function_refuses_a_reference_off_the_space(self, points):
-        reference = Configuration(tuple(range(len(points))), np.array(points))
+        reference = Configuration(np.array(points))
         with pytest.raises(ValueError, match="reference"):
             MatchingDistanceTestFunction(reference, unit_interval(3.0))
 
@@ -214,7 +229,7 @@ class TestTestFunctions:
         stream = derive_stream(10, 0)
         for _ in range(50):
             a = configuration_from_locations(space.sample(stream, 1 + stream.integer(8)))
-            b = a.with_point(max(a.tags) + 1, space.sample_one(stream))
+            b = plus(a, space.sample_one(stream))
             assert abs(f(a) - f(b)) <= d1_bar(a, b, space) + 1e-12
 
 
@@ -236,7 +251,7 @@ class TestCoupledRunMechanics:
     def test_coalesced_state_is_absorbing(self):
         space = unit_interval(2.0)
         xi = make_xi(2.0, 2, seed=5)
-        upper = xi.with_point(99, np.array([0.3]))
+        upper = plus(xi, [0.3])
         run, states = engine_and_oracle([upper, xi], [1, 1], space, (4, 0), horizon=12.0)
         merged = [coalesced(chains) for _, chains in states]
         assert any(merged)  # twelve mean lifetimes is plenty at lam = 2
@@ -267,7 +282,7 @@ class TestCoupledRunMechanics:
         space = unit_interval(2.0)
         xi = make_xi(2.0, 2, seed=8)
         run = run_coupled_chains(
-            [xi.with_point(99, np.array([0.2])), xi],
+            [plus(xi, [0.2]), xi],
             [1, 1],
             space,
             derive_stream(7, 0),
@@ -326,7 +341,7 @@ class TestCoupledRunMechanics:
 
     @pytest.mark.parametrize("points", [[[1.5]], [[math.nan]], [[0.5], [1.5]]])
     def test_chain_off_the_space_is_refused_before_any_run(self, points):
-        chain = Configuration(tuple(range(len(points))), np.array(points))
+        chain = Configuration(np.array(points))
         stream = derive_stream(0, 0)
         with pytest.raises(ValueError, match="chain 0's points must lie in the space"):
             run_coupled_chains([chain], [0], unit_interval(3.0), stream, horizon=2.0)
@@ -339,12 +354,34 @@ class TestCoupledRunMechanics:
                 [make_xi(2.0, 1)], [0], unit_interval(2.0), derive_stream(0, 0), horizon=horizon
             )
 
-    def test_conflicting_shared_tag_locations_rejected(self):
+
+class TestStartMasks:
+    """_start keys a point by its coordinates and its copy number among
+    that location's copies in its chain: chains share points by multiset
+    intersection, first seen first over chains 0..K-1."""
+
+    def test_start_masks_on_the_line(self):
         space = unit_interval(2.0)
-        a = Configuration((0,), np.array([[0.2]]))
-        b = Configuration((0,), np.array([[0.9]]))
-        with pytest.raises(ValueError):
-            run_coupled_chains([a, b], [0, 0], space, derive_stream(0, 0))
+        chains = [[0.2, 0.5, 0.5, 0.9], [0.5, 0.2], [0.5, 0.5, 0.5, 0.1], []]
+        initial = [configuration_from_locations(c, dimension=1) for c in chains]
+        masks, locs = coupling._start(initial, [0, 0, 0, 0], space)
+        np.testing.assert_array_equal(masks, [0b011, 0b111, 0b101, 0b001, 0b100, 0b100])
+        np.testing.assert_array_equal(locs, [[0.2], [0.5], [0.5], [0.9], [0.5], [0.1]])
+        assert masks.dtype == np.int64
+
+    def test_start_masks_in_the_square(self):
+        space = unit_cube(2.0, dimension=2)
+        initial = [
+            Configuration(np.array([[0.2, 0.3], [0.2, 0.4], [0.2, 0.4]])),
+            Configuration(np.array([[0.2, 0.4], [0.3, 0.2]])),
+        ]
+        masks, locs = coupling._start(initial, [1, 1], space)
+        np.testing.assert_array_equal(masks, [0b01, 0b11, 0b01, 0b10])
+        np.testing.assert_array_equal(locs, [[0.2, 0.3], [0.2, 0.4], [0.2, 0.4], [0.3, 0.2]])
+
+    def test_start_masks_of_empty_chains(self):
+        masks, locs = coupling._start([empty_configuration(2)] * 2, [0, 0], unit_cube(2.0, 2))
+        assert masks.shape == (0,) and locs.shape == (0, 2)
 
 
 class TestEngineAgainstOracle:
@@ -360,9 +397,9 @@ class TestEngineAgainstOracle:
         at = space.sample(derive_stream(99, dim), 5)
         # Nested, overlapping and empty starts, under floors that bind.
         initial = [
-            Configuration((0, 1, 2, 10), at[:4]),
-            Configuration((0, 1, 2), at[:3]),
-            Configuration((1, 2, 11), at[[1, 2, 4]]),
+            Configuration(at[:4]),
+            Configuration(at[:3]),
+            Configuration(at[[1, 2, 4]]),
             empty_configuration(dim),
         ][:k]
         floors = [2, 1, 1, 0][:k]
@@ -451,7 +488,7 @@ class TestEstimatorsAgainstCountChain:
 
     def test_h_differences_match_solver(self):
         xi1 = make_xi(self.LAM, 1, seed=3)
-        xi2 = xi1.with_point(99, np.array([0.5]))
+        xi2 = plus(xi1, [0.5])
         a = estimate_h(self.f, xi1, self.M, self.space, replicas=5000, seed=74)
         b = estimate_h(self.f, xi2, self.M, self.space, replicas=5000, seed=75)
         want = self.h[1] - self.h[0]
@@ -687,8 +724,8 @@ def test_estimators_refuse_bad_points_before_any_run(monkeypatch):
     f, xi, a = CountTestFunction(count_f_rule), make_xi(3.0, 2), np.array([0.5])
     flat = configuration_from_locations(plane.sample(derive_stream(0, 1), 2))
     alpha_off, beta_off, nan = "alpha_location must lie", "beta_location must lie", math.nan
-    nan_xi = Configuration((0, 1), np.array([[0.5], [nan]]))
-    off_xi = Configuration((0, 1), np.array([[0.5], [1.5]]))
+    nan_xi = Configuration(np.array([[0.5], [nan]]))
+    off_xi = Configuration(np.array([[0.5], [1.5]]))
     monkeypatch.setattr(coupling, "_run_batch", lambda *a, **k: pytest.fail("ran"))
     refused = [
         ("xi's dimension", lambda: estimate_delta_h(f, flat, a, 1, space, 10, 0)),
@@ -742,9 +779,7 @@ class TestStreamFamilyReplicas:
             return lambda r, stream: pair_initials(xi, space.sample_one(stream))
 
         def partner(r, stream):  # estimate_h's Po^(m) partner
-            drawn = sample_conditional_poisson(space, 1, stream)
-            tags = tuple(range(xi.size, xi.size + drawn.size))
-            return [xi, Configuration(tags, drawn.locations)]
+            return [xi, sample_conditional_poisson(space, 1, stream)]
 
         return partner
 

@@ -246,6 +246,16 @@ class TestGroundSpace:
         with pytest.raises(ValueError):
             space.distance(np.array([1.5]), np.array([0.5]))
 
+    @pytest.mark.parametrize(
+        "point, inside",
+        [([0.0, 1.0], True), ([0.5, 0.5], True), ([0.5, math.nan], False),
+         ([-1e-300, 0.5], False), ([0.5, 1.0 + 1e-15], False), ([math.inf, 0.5], False)],
+    )
+    def test_cube_contains_closed_cube_only(self, point, inside):
+        space = unit_cube(2.0, dimension=2)
+        assert space.contains(np.array(point)) is inside
+        assert space.contains(point) is inside
+
     def test_sampler_lands_in_space(self):
         space = unit_cube(2.0, dimension=3)
         pts = space.sampler(derive_stream(0, 0), 500)
@@ -280,8 +290,8 @@ class TestGroundSpace:
 
 class TestConfiguration:
     def test_multiset_equality(self):
-        a = Configuration(tags=(0, 1), locations=np.array([[0.1], [0.7]]))
-        b = Configuration(tags=(5, 9), locations=np.array([[0.7], [0.1]]))
+        a = Configuration(np.array([[0.1], [0.7]]))
+        b = Configuration(np.array([[0.7], [0.1]]))
         assert a == b
         assert hash(a) == hash(b)
 
@@ -295,24 +305,6 @@ class TestConfiguration:
         b = configuration_from_locations([[0.3]])
         assert a != b
         assert a.size == 2 and b.size == 1
-
-    def test_with_point_and_without_tag(self):
-        base = configuration_from_locations([[0.2], [0.8]])
-        grown = base.with_point(99, np.array([0.5]))
-        assert grown.size == 3
-        assert grown.locations[-1][0] == 0.5
-        back = grown.without_tag(99)
-        assert back == base
-        assert base.size == 2  # original untouched
-
-    def test_without_missing_tag_raises(self):
-        base = configuration_from_locations([[0.2]])
-        with pytest.raises(KeyError):
-            base.without_tag(123)
-
-    def test_tags_must_be_distinct(self):
-        with pytest.raises(ValueError):
-            Configuration(tags=(1, 1), locations=np.array([[0.1], [0.2]]))
 
     def test_locations_are_write_protected(self):
         cfg = configuration_from_locations([[0.4]])
@@ -340,12 +332,9 @@ class TestConfiguration:
     ),
     data=st.data(),
 )
-def test_configuration_equality_ignores_order_and_tags(locs, data):
+def test_configuration_equality_ignores_point_order(locs, data):
     perm = data.draw(st.permutations(list(range(len(locs)))))
     a = configuration_from_locations([[v] for v in locs])
-    b = Configuration(
-        tags=tuple(100 + i for i in range(len(locs))),
-        locations=np.array([[locs[i]] for i in perm]),
-    )
+    b = Configuration(np.array([[locs[i]] for i in perm]))
     assert a == b
     assert hash(a) == hash(b)

@@ -1,10 +1,12 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condpp import metrics
 from condpp.bernoulli_app import conditional_bernoulli_law, conditional_poisson_law
 from condpp.coupling import MatchingDistanceTestFunction
 from condpp.groundspace import (
@@ -89,6 +91,40 @@ class TestD1Examples:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             d1_bar(cfg(0.1), cfg(0.2), SPACE2)
+
+
+class TestPointsOffTheSpace:
+    """d1_bar, the cost matrix and d2_bar_empirical refuse a point the space
+    does not contain, NaN included, before any solve or DP."""
+
+    @pytest.mark.parametrize(
+        "space, bad, good",
+        [
+            (SPACE, [[1.5]], [[0.2], [0.4]]),
+            (SPACE, [[math.nan]], [[0.2], [0.4]]),
+            (SPACE, [[0.5], [-0.25]], [[0.2]]),
+            (SPACE2, [[0.5, 1.5]], [[0.2, 0.2], [0.4, 0.4]]),
+            (SPACE2, [[math.nan, 0.5]], [[0.2, 0.2], [0.4, 0.4]]),
+            (SPACE2, [[0.5, 0.5], [0.2, -0.1]], [[0.2, 0.2]]),
+        ],
+        ids=["line-off", "line-nan", "line-one-of-two", "square-off", "square-nan",
+             "square-one-of-two"],
+    )
+    def test_points_off_the_space_refused_before_any_solve(self, space, bad, good, monkeypatch):
+        bad, good = configuration_from_locations(bad), configuration_from_locations(good)
+        solved = lambda *args: pytest.fail("solved")
+        monkeypatch.setattr(metrics, "_d1_locs", solved)
+        monkeypatch.setattr(metrics, "_line_rows", solved)
+        calls = [
+            lambda: d1_bar(bad, good, space),
+            lambda: d1_bar(good, bad, space),
+            lambda: pairwise_d1_matrix([good, bad], [good], space),
+            lambda: pairwise_d1_matrix([good], [good, bad], space),
+            lambda: d2_bar_empirical([bad], [good], space),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="points must lie in the space"):
+                call()
 
 
 class TestD1AgainstBruteForce:
