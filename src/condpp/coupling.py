@@ -42,9 +42,9 @@ import numpy as np
 from .bounds import _upper_tail_sum, poisson_tail_ratio
 from .estimates import MCEstimate
 from .groundspace import (
-    Configuration, GroundSpace, RandomStream, _Drawn, derive_stream, derive_streams,
+    Configuration, GroundSpace, RandomStream, _Drawn, derive_stream, derive_streams, is_unit_line,
 )
-from .metrics import _d1_locs, _lex
+from .metrics import _d1_locs, _lex, _line_matrix, _padded_by_size
 from .simulate import _conditional_count, sample_conditional_poisson
 
 __all__ = [
@@ -80,9 +80,9 @@ class TestFunction:
 
     Subclasses set needs_locations and implement from_count or from_locations;
     calling the object on a Configuration dispatches appropriately.  The
-    coupled engine hands from_locations a chain's points in no fixed order,
-    so its value must depend on the point multiset alone, bit for bit, as
-    d1_bar does.
+    coupled engine calls from_rows on blocks of chains whose points come in
+    no fixed order, so a value must depend on the point multiset alone, bit
+    for bit, as d1_bar does.
     """
 
     needs_locations: bool = True
@@ -93,6 +93,11 @@ class TestFunction:
 
     def from_locations(self, locations: np.ndarray) -> float:
         raise NotImplementedError
+
+    def from_rows(self, locations: np.ndarray, member: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """f of each row's points locations[r][member[r]], sizes[r] of them; an
+        override must equal this loop over from_locations bit for bit."""
+        return np.array([self.from_locations(a[m]) for a, m in zip(locations, member)], float)
 
     def __call__(self, config: Configuration) -> float:
         if self.needs_locations:
@@ -144,11 +149,20 @@ class MatchingDistanceTestFunction(TestFunction):
         _check_inputs(reference, 0, space, "reference")
         self.reference = reference
         self._sorted = _lex(reference.locations)
+        self._padded = _padded_by_size([reference.locations]) if is_unit_line(space) else None
         self.space = space
         self.label = f"d1_to_reference[{reference.size}]"
 
     def from_locations(self, locations: np.ndarray) -> float:
         return _d1_locs(_lex(locations), self._sorted, self.space)
+
+    def from_rows(self, locations: np.ndarray, member: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        if self._padded is None:
+            return super().from_rows(locations, member, sizes)
+        order = np.argsort(sizes, kind="stable")  # one DP call on the unit line
+        rows = np.sort(np.where(member, locations[..., 0], np.inf), axis=1)
+        block = order, sizes[order], rows[order, : sizes.max(initial=0)]
+        return _line_matrix(block, self._padded)[:, 0]
 
 
 def _default_count_rule(j: int) -> float:
@@ -229,8 +243,8 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
     blocks, a first block of _READ_AHEAD and then refills as wide as the
     block already held; a batch of one steps its stream back over the unread
     rest, so the stream stands after the run's last draw.  Locations are
-    kept only for a location functional, which sees a chain's points in
-    live-list order, as d1_bar reads multisets.  Returns per-row integral,
+    kept only for a location functional (one from_rows call per chain that
+    changed), which sees points in live-list order.  Returns per-row integral,
     elapsed, events, coalescence time (NaN if none), capped and final counts.
     """
     k, rows, dim, lam = len(floors), len(starts), space.dimension, space.total_mass
@@ -261,14 +275,14 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
     coalesced = lambda: counts.min(axis=0) == nlive
     table, reads = np.empty(0), np.arange(3)[:, None]
 
-    def refresh(changed: np.ndarray) -> None:  # location functionals, per changed chain
+    def refresh(changed: np.ndarray) -> None:  # location functionals, one call per chain
+        for c in range(k):
+            rows_c = np.flatnonzero(changed >> c & 1)
+            if rows_c.size:
+                row, width = here[rows_c], nlive[rows_c].max()
+                member = (mask[row, :width] & bits[c]) != 0
+                fvals[c, rows_c] = f.from_rows(loc[row, :width], member, counts[c, rows_c])
         rows_changed = changed.nonzero()[0]
-        for i, chains in zip(rows_changed.tolist(), changed[rows_changed].tolist()):
-            row = here[i]
-            for c in range(k):
-                if chains >> c & 1:
-                    slots = (mask[row, : nlive[i]] & bits[c]).nonzero()[0]
-                    fvals[c, i] = f.from_locations(loc[row, slots])
         phi[rows_changed] = (coef * fvals[:, rows_changed]).sum(axis=0)
 
     if keep_locs:

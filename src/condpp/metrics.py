@@ -4,18 +4,18 @@ d1_bar(xi, eta) matches the smaller configuration injectively into the larger
 at minimum ground cost, charges 1 per unmatched point, and normalizes by the
 larger size; it is a metric bounded by 1 on finite configurations, and a
 function of the two point multisets alone: neither point order nor operand
-order moves a bit of it.  A single pair is solved with scipy's rectangular
-Hungarian solver in any space, on points in lexicographic order;
-scipy.optimize is loaded by the first such solve.
+order moves a bit of it.  One routine per ground space computes it: the
+sorted-matching DP below on the unit line (groundspace.is_unit_line), else
+scipy's rectangular Hungarian solver, whose first solve loads scipy.optimize.
 
 d2_bar is the induced Wasserstein-type distance between point process laws;
 it is estimated from equal-size samples by balanced empirical transport with
 ground cost d1_bar, which is an upward-biased estimator (bias decays as the
-sample size grows; calibrate with matched self-distance runs).  Its cost
-matrix on the unit line needs no solve per pair: there d0(x, y) = |x - y|, a
-Monge cost, so an optimal injection is monotone once both configurations are
-sorted (Aggarwal et al., FOCS 1992), and one column DP per configuration size
-matches all configurations of that size against all those at least as large.
+sample size grows; calibrate with matched self-distance runs).  On the unit
+line d0(x, y) = |x - y|, a Monge cost, so an optimal injection is monotone
+once both configurations are sorted (Aggarwal et al., FOCS 1992), and one
+column DP per configuration size matches all configurations of that size
+against all those at least as large.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ def _d1_locs(a: np.ndarray, b: np.ndarray, space: GroundSpace) -> float:
         return 0.0
     if m == 0:
         return 1.0
+    if is_unit_line(space):
+        return float(_line_rows(a.T, b.T, np.array([n]))[0, 0])
     if m == 1:
         w = float(space.pairwise(a, b).min())
         return (w + (n - 1)) / n
@@ -98,7 +100,9 @@ def _rows_block(space: GroundSpace, p_locs: list, q_locs: list) -> np.ndarray:
 
 def _padded_by_size(locs: list) -> tuple:
     """(order, sizes, rows) by size; rows are sorted coordinates padded with +inf.
-    Refuses a coordinate off [0, 1], NaN included, before any DP."""
+    Refuses another dimension, and a coordinate off [0, 1] or NaN, before any DP."""
+    if any(a.shape[1] != 1 for a in locs):
+        raise ValueError("configuration dimension does not match the ground space")
     sizes = np.array([a.shape[0] for a in locs], dtype=np.intp)
     order = np.argsort(sizes, kind="stable")
     rows = np.full((len(locs), sizes.max(initial=0)), np.inf)
@@ -131,15 +135,15 @@ def _line_rows(small: np.ndarray, large: np.ndarray, sizes: np.ndarray) -> np.nd
     return (d[m] + (sizes - m)) / np.maximum(sizes, 1)
 
 
-def _unit_line_matrix(p_locs: list, q_locs: list) -> np.ndarray:
-    """pairwise_d1_matrix on the unit line, one DP per configuration size.
+def _line_matrix(p: tuple, q: tuple) -> np.ndarray:
+    """d1_bar on the unit line between the (order, sizes, rows) triples of
+    _padded_by_size, in the operands' order; one DP per configuration size.
 
     Each pair runs with its smaller side as the small rows (p's at equal
     sizes, where |a - b| = |b - a|), so swapping p and q transposes; blocks
     with q as the small side are written through the view out.T.
     """
-    p, q = _padded_by_size(p_locs), _padded_by_size(q_locs)
-    out = np.empty((len(p_locs), len(q_locs)))
+    out = np.empty((len(p[0]), len(q[0])))
     pairs = ((p, q, out, "left"), (q, p, out.T, "right"))
     for (_, sizes, rows), (_, big_sizes, big_rows), view, side in pairs:
         for m in dict.fromkeys(sizes.tolist()):  # np.unique would load numpy.ma
@@ -168,7 +172,7 @@ def pairwise_d1_matrix(
     p_locs = [p.locations for p in ps]
     q_locs = [q.locations for q in qs]
     if is_unit_line(space):
-        return _unit_line_matrix(p_locs, q_locs)
+        return _line_matrix(_padded_by_size(p_locs), _padded_by_size(q_locs))
     _check_points((*ps, *qs), space)
     if workers <= 1 or len(ps) < 2 * workers:
         return _rows_block(space, p_locs, q_locs)
@@ -199,9 +203,6 @@ def d2_bar_empirical(
     """
     if len(ps) == 0 or len(ps) != len(qs):
         raise ValueError("need two non-empty samples of equal size")
-    for cfg in (*ps, *qs):
-        if cfg.dimension != space.dimension:
-            raise ValueError("configuration dimension does not match the ground space")
     costs = pairwise_d1_matrix(ps, qs, space, workers=workers)
     plan = solve_balanced_transport(costs)
     return D2Estimate(estimate=plan.mean_cost, n_samples=len(ps), seed=seed)

@@ -6,7 +6,7 @@ row.  It is exact; tests compare against brute-force enumeration.
 
 This is the one module that imports scipy.optimize, and it does so at the
 first solve, not at import: a process that never solves an assignment (the
-chain, the coupled count estimators, the Bernoulli samplers) never loads it.
+chain, count estimators, d-bar-1 on the unit line, the samplers) never loads it.
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ def test_criterion_2_survival_probability(capsys):
 
 
 def test_criterion_3_matching_distance_exactness(capsys):
-    """The assignment-based distance equals enumeration and is a metric."""
+    """The matching distance (the unit line's DP) equals enumeration and is a metric."""
     space = unit_interval(2.0)
     stream = derive_stream(300, 0)
 

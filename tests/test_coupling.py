@@ -212,6 +212,30 @@ class TestTestFunctions:
             xi = configuration_from_locations(space.sample(stream, 5))
             assert f(xi) == d1_bar(xi, f.reference, space)
 
+    @pytest.mark.parametrize("ref_size", [0, 1, 5])
+    @pytest.mark.parametrize(
+        "space", [unit_interval(3.0), unit_cube(3.0, dimension=2)], ids=["line", "square"]
+    )
+    def test_from_rows_matches_from_locations_bit_for_bit(self, space, ref_size):
+        # A block as the engine hands it: row r's chain holds r % 13 of its
+        # 12 slots, in scattered slots, so chains sit below, at and above the
+        # reference size and row 0 is the empty chain; every third row
+        # repeats a point.  The square takes the default loop.
+        stream = derive_stream(15, ref_size)
+        ref = configuration_from_locations(
+            space.sample(stream, ref_size), dimension=space.dimension
+        )
+        f = MatchingDistanceTestFunction(ref, space)
+        rows, width = 39, 12
+        locations = space.sample(stream, rows * width).reshape(rows, width, space.dimension)
+        locations[::3, 1] = locations[::3, 0]
+        rank = stream.uniforms(rows * width).reshape(rows, width).argsort(axis=1).argsort(axis=1)
+        member = rank < (np.arange(rows) % (width + 1))[:, None]
+        got = f.from_rows(locations, member, member.sum(axis=1))
+        want = [f.from_locations(a[m]) for a, m in zip(locations, member)]
+        assert got.dtype == np.float64
+        assert got.tolist() == want
+
     @pytest.mark.parametrize(
         "points", [[[1.5]], [[math.nan]], [[0.5], [-0.25]], [[0.5, 0.5]]],
         ids=["off", "nan", "one-of-two-off", "plane-point"],

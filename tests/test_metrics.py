@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -23,6 +24,9 @@ from oracles import d1_bruteforce
 
 SPACE = unit_interval(3.0)
 SPACE2 = unit_cube(3.0, dimension=2)
+# The unit line as a general space: its membership test is a wrapper, so
+# is_unit_line is false and d1_bar takes the Hungarian solve, the DP's oracle.
+HUNGARIAN_LINE = dataclasses.replace(SPACE, contains=lambda x: SPACE.contains(x))
 
 
 def cfg(*points):
@@ -91,6 +95,19 @@ class TestD1Examples:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             d1_bar(cfg(0.1), cfg(0.2), SPACE2)
+
+    def test_line_matrix_refuses_a_configuration_off_the_line_dimension(self):
+        # The DP reads coordinate 0 alone; a plane point must not pass as (0.2).
+        space = unit_interval(2.0)
+        plane, line = configuration_from_locations([[0.2, 0.9]]), cfg(0.2)
+        calls = [
+            lambda: pairwise_d1_matrix([plane], [line], space),
+            lambda: pairwise_d1_matrix([line], [plane], space),
+            lambda: d2_bar_empirical([plane], [line], space),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="dimension does not match the ground space"):
+                call()
 
 
 class TestPointsOffTheSpace:
@@ -203,15 +220,17 @@ class TestD1Axioms:
 class TestPairwiseMatrix:
     def test_entries_match_scalar_calls(self):
         # Every size pair from 0 to 12, with empty configurations and
-        # repeated coordinates: the unit-line kernel against the per-pair
-        # Hungarian solve and, up to size 7, against enumeration.
+        # repeated coordinates: the unit-line kernel against the single-pair
+        # DP bit for bit, the per-pair Hungarian solve and, up to size 7,
+        # enumeration.
         stream = derive_stream(8, 0)
         ps = line_sample(stream, [*range(13), *range(13)])
         qs = line_sample(stream, [*range(12, -1, -1), *range(13)])
         mat = pairwise_d1_matrix(ps, qs, SPACE)
         for i, p in enumerate(ps):
             for j, q in enumerate(qs):
-                assert mat[i, j] == pytest.approx(d1_bar(p, q, SPACE), abs=1e-12)
+                assert mat[i, j] == d1_bar(p, q, SPACE)
+                assert mat[i, j] == pytest.approx(d1_bar(p, q, HUNGARIAN_LINE), abs=1e-12)
                 if max(p.size, q.size) <= 7:
                     assert mat[i, j] == pytest.approx(
                         d1_bruteforce(p.locations, q.locations, SPACE.metric), abs=1e-12
@@ -282,7 +301,7 @@ class TestPairwiseMatrix:
                 if p.size == 0 or q.size == 0:
                     assert mat[i, j] == (0.0 if p.size == q.size else 1.0)
                 else:
-                    assert mat[i, j] == pytest.approx(d1_bar(p, q, SPACE), abs=1e-12)
+                    assert mat[i, j] == pytest.approx(d1_bar(p, q, HUNGARIAN_LINE), abs=1e-12)
         np.testing.assert_array_equal(pairwise_d1_matrix(qs, ps, SPACE), mat.T)
 
     def test_worker_fanout_is_deterministic(self):
@@ -308,7 +327,7 @@ class TestPairwiseMatrix:
             contains=SPACE.contains,
         )
         assert is_unit_line(SPACE) and not is_unit_line(doubled)
-        assert not is_unit_line(SPACE2)
+        assert not is_unit_line(SPACE2) and not is_unit_line(HUNGARIAN_LINE)
         stream = derive_stream(8, 2)
         ps = line_sample(stream, [0, 1, 2, 3, 5, 5])
         qs = line_sample(stream, [1, 2, 4, 5])

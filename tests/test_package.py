@@ -11,6 +11,7 @@ import pytest
 import condpp
 
 PACKAGE_DIR = Path(condpp.__file__).resolve().parent
+TESTS_DIR = Path(__file__).resolve().parent
 SUBMODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if not p.stem.startswith("_"))
 
 
@@ -46,8 +47,10 @@ def test_scipy_loads_only_at_the_first_assignment_solve():
         "from condpp.simulate import sample_bernoulli_process",
         "sample_bernoulli_process(100, 0.05, 1, derive_stream(1, 0))",
         LOADED,
+        "from condpp.groundspace import unit_cube",
         "from condpp.metrics import d1_bar",
-        "d1_bar(cfg([[0.1], [0.5], [0.7]]), cfg([[0.2], [0.3], [0.6], [0.9]]), unit_interval(1.0))",
+        "a = cfg([[0.1, 0.1], [0.5, 0.5], [0.7, 0.7]])",
+        "d1_bar(a, cfg([[0.2, 0.2], [0.3, 0.3], [0.6, 0.6], [0.9, 0.9]]), unit_cube(1.0, 2))",
         LOADED,
     ])
     imported, drawn, solved = (
@@ -57,6 +60,34 @@ def test_scipy_loads_only_at_the_first_assignment_solve():
     assert drawn == set()
     assert "scipy.optimize" in solved
     assert not {m for m in solved if m.split(".")[:2] == ["scipy", "stats"]}
+
+
+def test_count_path_and_unit_line_load_no_scipy():
+    # The count estimators with their oracle, the Stein battery, and every
+    # d-bar-1 on the unit line (the sorted-matching DP) run without scipy.
+    code = "; ".join([
+        "import sys",
+        f"sys.path.insert(0, {str(TESTS_DIR)!r})",
+        "from oracles import count_chain_h",
+        "from condpp.coupling import CountTestFunction, estimate_delta_h, estimate_delta2_h",
+        "from condpp.coupling import reference_test_functions",
+        "from condpp.groundspace import configuration_from_locations as cfg, unit_interval",
+        "from condpp.metrics import d1_bar",
+        "from condpp.verify import verify_stein",
+        "rule = lambda j: min(1.0, j / 10.0)",
+        "count_chain_h(5.0, 1, rule, top=60)",
+        "space, f = unit_interval(5.0), CountTestFunction(rule)",
+        "xi = cfg([[0.2], [0.5], [0.8]])",
+        "estimate_delta_h(f, xi, [0.3], 1, space, 20, 7)",
+        "estimate_delta2_h(f, xi, [0.3], [0.6], 1, space, 20, 7)",
+        "verify_stein(lam=3.0, m=1, sizes=(1, 2), replicas=20, seed=0)",
+        "d1_bar(cfg([[0.1], [0.5], [0.7]]), cfg([[0.2], [0.3], [0.6], [0.9]]), space)",
+        "estimate_delta_h(reference_test_functions(space)[2], xi, [0.3], 1, space, 20, 7)",
+        LOADED,
+    ])
+    (loaded,) = run_fresh(code)
+    assert "condpp.coupling" in loaded
+    assert [m for m in loaded if m.startswith("scipy")] == []
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
