@@ -16,18 +16,24 @@ bit.
 The engine runs all replicas of a battery as one numpy batch, one event a
 step.  Each replica reads its own RandomStream, derived from its estimate's
 seed and its replica number and seeded together with the rest of its batch,
-in a fixed order (holding time, event type, then a location or a victim),
-and draws victims from its own live list of chain-membership bitmasks, kept
-in swap-remove order, so its path does not depend on the batch it runs in;
-run_coupled_chains is a batch of one that reads on from the caller's stream.
+in a fixed order (event type, then a location or a victim), and draws
+victims from its own live list of chain-membership bitmasks, kept in
+swap-remove order, so its path does not depend on the batch it runs in.
 Each replica integrates a contrast of a test function:
   delta_h      -mean int f(Z_{xi+a}) - f(Z_xi) dt            (2 chains)
   delta2_h     -mean int f(Z_{xi+a+b}) - f(Z_{xi+a}) - ...   (4 chains)
   h            -mean int f(Z_xi) - f(Z_W) dt, W stationary   (2 chains)
-Runs stop at coalescence, where the contrast vanishes identically, or run to
-a horizon when given one.  Every estimator honours max_events: replicas
-hitting the event cap are flagged and inflated conservatively, and an
-estimate is refused when every replica hits it.
+over the jump chain: a state left at event rate q adds its contrast times
+1/q, the mean of its holding time given the jump chain, in place of the
+contrast times a drawn holding time.  This discrete-time conversion keeps
+the mean, does not raise the variance and draws no holding times.
+run_coupled_chains is a batch of one that reads on from the caller's
+stream and draws a holding time before each event, so its elapsed and
+coalescence times are those of the path.  Runs stop at coalescence, where
+the contrast vanishes identically, or run to a horizon when given one.
+Every estimator honours max_events: replicas hitting the event cap are
+flagged and inflated conservatively, and an estimate is refused when every
+replica hits it.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .groundspace import (
     Configuration, GroundSpace, RandomStream, _Drawn, derive_stream, derive_streams, is_unit_line,
 )
 from .metrics import _d1_locs, _lex, _line_matrix, _padded_by_size
-from .simulate import _conditional_count, sample_conditional_poisson
+from .simulate import _conditional_count, conditional_count_pmf, sample_conditional_poisson
 
 __all__ = [
     "TestFunction",
@@ -233,13 +239,19 @@ def _row(parts) -> tuple[np.ndarray, np.ndarray]:
     return masks, np.concatenate([locs for locs, _ in parts])
 
 
-def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None, max_events):
+def _run_batch(
+    starts, streams, floors, space, coefficients, f, *, horizon=None, timed=False, max_events,
+):
     """The engine: row r runs from starts[r] on streams[r], all rows in step.
 
     A start is a row's (chain masks, locations) as _start or _row give them;
     consecutive rows that share one start object are filled together.  Rows
-    stop at coalescence, or with a horizon run to it.  A location takes
-    `dimension` uniforms, a victim one.  Each row's stream is read ahead in
+    stop at coalescence, or with a horizon run to it.  An event at rate q
+    reads a type uniform, then `dimension` uniforms for a location or one
+    for a victim.  Untimed, it adds phi/q to the integral and 1/q to the
+    elapsed time, the mean holding time given the jump chain; timed (which
+    a horizon needs), it first draws its holding time from one uniform and
+    integrates phi over it.  Each row's stream is read ahead in
     blocks, a first block of _READ_AHEAD and then refills as wide as the
     block already held; a batch of one steps its stream back over the unread
     rest, so the stream stands after the run's last draw.  Locations are
@@ -273,7 +285,8 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
             loc[at:end, : len(masks)] = locs
     counts[:] = ((mask & bits[:, None, None]) != 0).sum(axis=2)
     coalesced = lambda: counts.min(axis=0) == nlive
-    table, reads = np.empty(0), np.arange(3)[:, None]
+    lead = int(timed)  # a timed event's holding-time uniform comes first
+    table, reads = np.empty(0), np.arange(lead + 2)[:, None]
 
     def refresh(changed: np.ndarray) -> None:  # location functionals, one call per chain
         for c in range(k):
@@ -301,7 +314,7 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
             out_capped[row_id] = ~hold
             done = np.ones_like(hold)
         else:
-            if pos.max() + 2 + max(dim, 1) > U.shape[1] or nlive.max() >= mask.shape[1]:
+            if pos.max() + lead + 1 + max(dim, 1) > U.shape[1] or nlive.max() >= mask.shape[1]:
                 wider = lambda a: np.concatenate([a[here], np.zeros_like(a[here])], axis=1)
                 U, mask, loc = (a if a is None else wider(a) for a in (U, mask, loc))
                 half = U.shape[1] // 2
@@ -309,9 +322,9 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
                 here[:] = range(here.size)
             u = U[here, pos + reads]
             rate = lam + nlive
-            ndt = np.log1p(-u[0]) / rate  # minus the holding time
+            dt = -np.log1p(-u[0]) / rate if timed else 1.0 / rate  # untimed: mean hold 1/q
             if horizon is not None:
-                over = ~hold & (t - ndt >= horizon)
+                over = ~hold & (t + dt >= horizon)
                 integral[over] += (horizon - t[over]) * phi[over]
                 t[over] = horizon
                 pos += over
@@ -324,12 +337,12 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
             if stopped.size == done.size:
                 break
             keep = np.flatnonzero(~done)
-            F, I, u, rate, ndt = (a.take(keep, -1) for a in (F, I, u, rate, ndt))
+            F, I, u, rate, dt = (a.take(keep, -1) for a in (F, I, u, rate, dt))
             t, integral, phi, tau, fvals, pos, nlive, row_id, here, counts = views()
-        integral -= ndt * phi
-        t -= ndt
-        imm = u[1] * rate < lam
-        slot = np.where(imm, nlive, np.minimum(u[2] * nlive, nlive - 1).astype(np.int64))
+        integral += dt * phi
+        t += dt
+        imm = u[lead] * rate < lam
+        slot = np.where(imm, nlive, np.minimum(u[lead + 1] * nlive, nlive - 1).astype(np.int64))
         old = mask[here, slot]
         drop = old & (bits @ (counts > floor))
         new = np.where(imm, full, old ^ drop)
@@ -338,7 +351,7 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
         counts -= (drop & bits[:, None]) != 0
         if keep_locs and imm.any():
             into = np.flatnonzero(imm)
-            drawn = U[here[into, None], pos[into, None] + 2 + np.arange(dim)]
+            drawn = U[here[into, None], pos[into, None] + lead + 1 + np.arange(dim)]
             loc[here[into], nlive[into]] = space.sample(_Drawn(drawn.ravel()), into.size)
         gone = np.flatnonzero(new == 0)
         if gone.size:
@@ -347,7 +360,7 @@ def _run_batch(starts, streams, floors, space, coefficients, f, *, horizon=None,
                 a[row, slot[gone]] = a[row, last]
             mask[row, last], nlive[gone] = 0, last
         nlive += imm
-        pos += np.where(imm, 2 + dim, 3)
+        pos += np.where(imm, lead + 1 + dim, lead + 2)
         if keep_locs:
             refresh(np.where(imm, full, drop))
     if rows == 1:
@@ -365,7 +378,8 @@ def run_coupled_chains(
     horizon: float | None = None,
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> CoupledRun:
-    """Drive K chains through the shared union-race event stream.
+    """Drive K chains through the shared union-race event stream, drawing
+    each event's holding time.
 
     Chains are given as configurations and share points by multiset
     intersection: the k-th copy of a location in one chain is the k-th copy
@@ -374,9 +388,10 @@ def run_coupled_chains(
     of chain c; every initial configuration must lie in the space and sit at
     or above its floor, which is checked before any draw.
     The integral accumulated is int sum_c coefficients[c] f(chain c) dt,
-    piecewise constant between events.  Without a horizon the run stops at
-    coalescence; with one it runs to the horizon, and the coalescence time
-    is the first time the chains agree.
+    piecewise constant between events, over drawn holding times: an event
+    reads a holding-time uniform, then the estimators' draws.  Without a
+    horizon the run stops at coalescence; with one it runs to the horizon,
+    and the coalescence time is the first time the chains agree.
     """
     if not initial or len(floors) != len(initial):
         raise ValueError("need one floor per chain")
@@ -386,7 +401,7 @@ def run_coupled_chains(
         raise ValueError("need one coefficient per chain")
     run = _run_batch(
         [_start(initial, floors, space)], [stream], floors, space, coefficients,
-        test_function, horizon=horizon, max_events=max_events,
+        test_function, horizon=horizon, timed=True, max_events=max_events,
     )
     integral, elapsed, events, tau, capped, counts = (a[0] for a in run)
     return CoupledRun(
@@ -561,10 +576,14 @@ def estimate_coalescence_time(
     seed: int,
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> MCEstimate:
-    """Mean coalescence time of the coupled pair; samples kept exact.
+    """Mean coalescence time of the coupled pair.
 
-    Replicas that hit the event cap are excluded from the mean and counted
-    in the capped field instead of being inflated.
+    A replica's sample is sum 1/q over the events of its jump chain up to
+    coalescence, q each state's event rate: the mean of its coalescence time
+    given the jump chain, so an unbiased estimate of E tau with lower
+    variance than the time itself.  Replicas that hit the event cap are
+    excluded from the mean and counted in the capped field instead of being
+    inflated.
     """
     _check_inputs(xi, m, space, alpha_location=alpha_location)
     row = _row([(xi.locations, 0b11), (np.reshape(alpha_location, (1, -1)), 0b01)])
@@ -675,11 +694,14 @@ def stein_residuals(
     The generator applied to the Stein solution is estimated term by term:
     Lambda times the intensity-average of delta_h(xi; alpha) (alpha drawn
     fresh per replica), minus the sum over points x of delta_h(xi - x; x)
-    when xi sits above the floor.  The residual subtracts f(xi) - pi(f);
-    its standard error combines the component errors in quadrature, and the
-    estimate should vanish within Monte Carlo error.  xis[i] is estimated at
-    seeds[i]; the coupled components of every xi run through the engine
-    together, and each estimate equals the one its xi would get alone.
+    when xi sits above the floor.  The residual subtracts f(xi) - pi(f).
+    For a count functional pi(f) is exact, read from the truncated count
+    law; a location functional estimates it with estimate_pi_f from streams
+    (|xi| + 1) * replicas onwards.  The standard error combines the errors
+    of the estimated terms in quadrature, and the estimate should vanish
+    within Monte Carlo error.  xis[i] is estimated at seeds[i]; the coupled
+    components of every xi run through the engine together, and each
+    estimate equals the one its xi would get alone.
     """
     xis, seeds = list(xis), list(seeds)
     if len(xis) != len(seeds):
@@ -693,6 +715,8 @@ def stein_residuals(
         [m, m], (1.0, -1.0), f, space, max_events=max_events,
     )
     lam = space.total_mass
+    if not f.needs_locations:
+        pi_f, pi_var = conditional_count_pmf(lam, m).expectation(f.from_count), 0.0
     estimates = []
     for xi, seed, job in zip(xis, seeds, runs):
         imm, *deaths = [
@@ -701,11 +725,13 @@ def stein_residuals(
         ]
         death_mean = sum(est.estimate for est in deaths)
         death_var = sum(est.se**2 for est in deaths)
-        pi_est = estimate_pi_f(
-            f, m, space, replicas, seed, stream_offset=(xi.size + 1) * replicas
-        )
-        residual = lam * imm.estimate - death_mean - (f(xi) - pi_est.estimate)
-        se = math.sqrt((lam * imm.se) ** 2 + death_var + pi_est.se**2)
+        if f.needs_locations:
+            pi_est = estimate_pi_f(
+                f, m, space, replicas, seed, stream_offset=(xi.size + 1) * replicas
+            )
+            pi_f, pi_var = pi_est.estimate, pi_est.se**2
+        residual = lam * imm.estimate - death_mean - (f(xi) - pi_f)
+        se = math.sqrt((lam * imm.se) ** 2 + death_var + pi_var)
         # A replica is capped when any of its component runs is.
         capped = int(job[1].reshape(-1, replicas).any(axis=0).sum())
         estimates.append(

@@ -21,7 +21,6 @@ against all those at least as large.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -176,6 +175,8 @@ def pairwise_d1_matrix(
     _check_points((*ps, *qs), space)
     if workers <= 1 or len(ps) < 2 * workers:
         return _rows_block(space, p_locs, q_locs)
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     blocks = np.array_split(np.arange(len(ps)), workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futs = [

@@ -89,6 +89,25 @@ class CountPMF:
         # E|Po^(m)| = lam F(m-1)/F(m), shifting the truncated series once.
         return self.lam * poisson_tail_ratio(self.lam, self.m)
 
+    def expectation(self, g) -> float:
+        """E g(N), N of this law, for a rule g with |g(j+1) - g(j)| <= 1/(j+1).
+
+        math.fsum of g(j) pmf(j) from j = m.  Once j + 1 >= 2 lam the pmf
+        falls at least by half a step, so under that increment condition the
+        rest of the series is at most pmf(j) (|g(j)| + 2); the sum stops at
+        the first such j where that is below 2^-60 of the absolute sum so far,
+        or where the pmf underflows.
+        """
+        terms, scale, j = [], 0.0, self.m
+        while True:
+            p = self.pmf(j)
+            gj = float(g(j))
+            terms.append(gj * p)
+            scale += abs(terms[-1])
+            if j + 1 >= 2.0 * self.lam and p * (abs(gj) + 2.0) <= scale * 2.0**-60:
+                return math.fsum(terms)
+            j += 1
+
 
 def conditional_count_pmf(lam: float, m: int) -> CountPMF:
     return CountPMF(lam=float(lam), m=int(m))

@@ -10,7 +10,6 @@ below one replica in a thousand for a row to pass.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -227,6 +226,8 @@ def verify_delta_bounds(
     units = [("uniform", lam, m, replicas, seed, s) for s in range(n_scenarios)]
     units += [("nonuniform", lam, m, replicas, seed, m + off) for off in nonuniform_offsets]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_delta_bounds_unit, units))
     else:

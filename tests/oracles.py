@@ -81,6 +81,23 @@ def conditional_count_pmf_mp(lam, m, j):
     return (lam ** j) * mpmath.e ** (-lam) / mpmath.factorial(j) / poisson_tail_mp(lam, m)
 
 
+def conditional_count_expectation_mp(lam, m, g, top):
+    """E g(N) for N ~ Poisson(lam) conditioned on N >= m, at 50 digits.
+
+    g(j) is evaluated as given (pass an mpmath rule for an exact one) and
+    the series is summed over m <= j <= top; the caller picks top far enough
+    past the mode that the rest is negligible.
+    """
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lam)
+        term = lam**m * mpmath.exp(-lam) / mpmath.factorial(m)
+        total = mpmath.mpf(0)
+        for j in range(m, top + 1):
+            total += g(j) * term
+            term = term * lam / (j + 1)
+        return +(total / poisson_tail_mp(lam, m))
+
+
 def conditional_count_mean_mp(lam, m):
     lam = mpmath.mpf(lam)
     return lam * poisson_tail_mp(lam, max(m - 1, 0)) / poisson_tail_mp(lam, m)
@@ -205,7 +222,7 @@ def cid_chain_events(tags, m, horizon, lam, stream, sample):
 
 def coupled_chain_events(
     initial, floors, lam, stream, sample, coefficients=None, f=None, horizon=None,
-    max_events=10_000,
+    max_events=10_000, timed=True,
 ):
     """The coupled union race of K chains, one event at a time.
 
@@ -216,13 +233,16 @@ def coupled_chain_events(
     numbered first seen first over chains 0..K-1.  The live list holds every
     identity alive in at least one chain: the start's in number order, then
     immigrants appended, and an identity is swap-removed from it only once no
-    chain holds it.  Per event: a holding-time uniform at rate lam plus the
-    live count, a type uniform, then either one point from sample(stream, 1)
-    or a victim-index uniform into the live list.  An immigrant joins every
-    chain; a victim leaves every chain that holds it and sits above its floor.
+    chain holds it.  Events come at rate q, lam plus the live count.  Per
+    event: when timed, a holding-time uniform; then a type uniform, then
+    either one point from sample(stream, 1) or a victim-index uniform into
+    the live list.  An immigrant joins every chain; a victim leaves every
+    chain that holds it and sits above its floor.
 
     The integral is int sum_c coefficients[c] f(chain c) dt, summed in chain
-    order, with f called on a chain's locations in identity order.  Without a
+    order, with f called on a chain's locations in identity order.  Untimed,
+    each state is held 1/q, its mean holding time given the jump chain, in
+    place of a drawn one; a horizon needs timed.  Without a
     horizon the run stops once every chain holds every live identity
     (coalescence); with one it runs to the horizon, and the coalescence time
     is the first time the chains agree.  A run that reaches max_events events
@@ -269,14 +289,17 @@ def coupled_chain_events(
         if events >= max_events:
             return (integral, t, events, tau, True, counts), states
         rate = lam + len(live)
-        # Minus the holding time.  numpy's log1p, as the engine's: math.log1p
-        # differs from it in the last bit for about 7% of uniforms.
-        ndt = np.log1p(-stream.uniform()) / rate
-        if horizon is not None and t - ndt >= horizon:
+        if timed:
+            # numpy's log1p, as the engine's: math.log1p differs from it in
+            # the last bit for about 7% of uniforms.
+            dt = -np.log1p(-stream.uniform()) / rate
+        else:
+            dt = 1.0 / rate
+        if horizon is not None and t + dt >= horizon:
             integral += (horizon - t) * value
             return (integral, horizon, events, tau, False, counts), states
-        integral -= ndt * value
-        t -= ndt
+        integral += dt * value
+        t += dt
         if stream.uniform() * rate < lam:
             where[next_tag] = sample(stream, 1)[0]
             live.append(next_tag)
@@ -301,7 +324,7 @@ def replica_runs_one_by_one(
     """Per-replica (integral, capped, coalescence time) of a coupled estimate,
     one replica at a time.
 
-    Replica r runs coupled_chain_events on derive_stream(seed, r), from
+    Replica r runs coupled_chain_events untimed on derive_stream(seed, r), from
     initial or, when initial is callable, from initial(r, stream) drawn first
     from that stream; f is called as coupled_chain_events calls it.  A replica
     that never coalesces reads NaN.  The library's replica driver must match
@@ -312,7 +335,8 @@ def replica_runs_one_by_one(
         stream = derive_stream(seed, r)
         start = initial(r, stream) if callable(initial) else initial
         (integral, _, _, tau, capped, _), _ = coupled_chain_events(
-            start, floors, lam, stream, sample, coefficients, f, max_events=max_events
+            start, floors, lam, stream, sample, coefficients, f, max_events=max_events,
+            timed=False,
         )
         out[:, r] = integral, capped, math.nan if tau is None else tau
     return out[0], out[1].astype(bool), out[2]

@@ -32,7 +32,7 @@ from condpp.groundspace import (
     unit_interval,
 )
 from condpp.metrics import d1_bar
-from condpp.simulate import _conditional_count, sample_conditional_poisson
+from condpp.simulate import _conditional_count, conditional_count_pmf, sample_conditional_poisson
 from condpp.verify import verify_delta_bounds
 from oracles import count_chain_h, coupled_chain_events, replica_runs_one_by_one
 
@@ -444,6 +444,78 @@ class TestEngineAgainstOracle:
         ]
         assert any(run.capped for run in runs) and not all(run.capped for run in runs)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("functional", ["count", "matching", "none"])
+    def test_untimed_engine_matches_the_scalar_oracle(self, functional, k, dim):
+        # The estimators' rule: no holding-time uniform, each state held 1/q.
+        space = unit_cube(3.0, dim)
+        at = space.sample(derive_stream(98, dim), 5)
+        initial = [
+            Configuration(at[:4]), Configuration(at[[0, 1, 3]]), Configuration(at[:3]),
+            Configuration(at[[0, 4]]),
+        ][:k]
+        floors = [2, 1, 1, 0][:k]
+        f = {
+            "count": CountTestFunction(log_rule),
+            "matching": reference_test_functions(space)[2],
+            "none": None,
+        }[functional]
+        coefficients = None if f is None else (1.0, -1.0, -1.0, 1.0)[:k]
+        capped = []
+        for max_events, seed in itertools.product((coupling.DEFAULT_EVENT_CAP, 3), range(4)):
+            stream, twin = derive_stream(8, seed), derive_stream(8, seed)
+            run = coupling._run_batch(
+                [coupling._start(initial, floors, space)], [stream], floors, space,
+                coefficients, f, max_events=max_events,
+            )
+            integral, elapsed, events, tau, cap, counts = (a[0] for a in run)
+            got = (
+                float(integral), float(elapsed), int(events),
+                None if np.isnan(tau) else float(tau), bool(cap), tuple(counts.tolist()),
+            )
+            want, _ = coupled_chain_events(
+                initial, floors, space.total_mass, twin, space.sample, coefficients,
+                on_locations(f), max_events=max_events, timed=False,
+            )
+            assert got == want
+            np.testing.assert_array_equal(stream.uniforms(5), twin.uniforms(5))
+            capped.append(cap)
+        assert any(capped) and not all(capped)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_untimed_run_reads_no_holding_uniform(self, dim):
+        # Untimed, an immigration reads 1 + dim uniforms and a death 2, and a
+        # state left at rate q adds exactly 1/q to the elapsed time.
+        space = unit_cube(5.0, dim)
+        xi = configuration_from_locations(space.sample(derive_stream(9, 1), 6))
+        initial, floors = pair_initials(xi, np.full(dim, 0.5)), [1, 1]
+        moves = [0, 0]
+        for seed in range(4):
+            stream = derive_stream(13, seed)
+            run = coupling._run_batch(
+                [coupling._start(initial, floors, space)], [stream], floors, space, None, None,
+                max_events=coupling.DEFAULT_EVENT_CAP,
+            )
+            events, elapsed = int(run[2][0]), float(run[1][0])
+            _, states = coupled_chain_events(
+                initial, floors, space.total_mass, derive_stream(13, seed), space.sample,
+                timed=False,
+            )
+            assert len(states) == events + 1
+            seen = [set().union(*chains) for _, chains in states]
+            arrivals = sum(1 for a, b in zip(seen, seen[1:]) if b - a)
+            used = events + dim * arrivals + (events - arrivals)
+            want = derive_stream(13, seed).uniforms(used + 5)[used:]
+            np.testing.assert_array_equal(stream.uniforms(5), want)
+            total = 0.0
+            for ids in seen[:-1]:
+                total += 1.0 / (space.total_mass + len(ids))
+            assert elapsed == total
+            moves[0] += arrivals
+            moves[1] += events - arrivals
+        assert min(moves) > 2
+
 
 class TestDominationTriple:
     """Under the shared event stream (Z^(m) from xi, Z^(0) from xi, Z^(0)
@@ -642,6 +714,53 @@ class TestSteinResidual:
         xi = configuration_from_locations(space.sample(derive_stream(9, extra), 2 + extra))
         start_rows_against_decoded(space, xi, 2, monkeypatch)
         start_rows_against_decoded(space, empty_configuration(dim), 0, monkeypatch)
+
+    def test_count_functional_reads_pi_f_exactly(self, monkeypatch):
+        # No pi(f) stream is drawn: the residual subtracts the count law's
+        # exact pi(f), and its SE^2 is the coupled components' variances.
+        space, f, replicas = unit_interval(3.0), CountTestFunction(count_f_rule), 20
+        xis = [make_xi(3.0, size, seed=50 + size) for size in (1, 3)]
+        parts = []
+
+        def recorded(*args, **kwargs):
+            parts.append(contrast(*args, **kwargs))
+            return parts[-1]
+
+        contrast = coupling._contrast_estimate
+        monkeypatch.setattr(coupling, "_contrast_estimate", recorded)
+        monkeypatch.setattr(coupling, "estimate_pi_f", lambda *a, **k: pytest.fail("drew pi(f)"))
+        ests = stein_residuals(f, xis, 1, space, replicas, [60, 61])
+        pi_f = conditional_count_pmf(3.0, 1).expectation(count_f_rule)
+        for est, xi in zip(ests, xis):  # no death terms at the floor
+            n = 1 + (xi.size if xi.size > 1 else 0)
+            imm, *deaths = parts[:n]
+            del parts[:n]
+            want = 3.0 * imm.estimate - sum(d.estimate for d in deaths) - (f(xi) - pi_f)
+            assert est.estimate == pytest.approx(want, rel=1e-12, abs=1e-15)
+            var = (3.0 * imm.se) ** 2 + sum(d.se**2 for d in deaths)
+            assert est.se**2 == pytest.approx(var, rel=1e-12)
+        assert parts == []
+
+    def test_matching_functional_still_estimates_pi_f(self, monkeypatch):
+        space, replicas = unit_interval(3.0), 12
+        f, xi = reference_test_functions(space)[1], make_xi(3.0, 2, seed=52)
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs))
+            return pi_f(*args, **kwargs)
+
+        pi_f = coupling.estimate_pi_f
+        monkeypatch.setattr(coupling, "estimate_pi_f", recorded)
+        est = stein_residual(f, xi, 1, space, replicas, 62)
+        assert calls == [((f, 1, space, replicas, 62), {"stream_offset": 3 * replicas})]
+        assert est.se > pi_f(f, 1, space, replicas, 62, stream_offset=3 * replicas).se
+
+    def test_pi_f_estimate_agrees_with_the_exact_expectation(self):
+        space, f = unit_interval(3.0), CountTestFunction(log_rule)
+        est = estimate_pi_f(f, 1, space, replicas=5000, seed=83)
+        exact = conditional_count_pmf(3.0, 1).expectation(log_rule)
+        assert abs(est.estimate - exact) < 3.0 * est.se
 
     def test_pi_f_matches_count_law(self):
         space = unit_interval(3.0)
@@ -915,13 +1034,15 @@ class TestStreamFamilyReplicas:
 
 
 class TestDrawOrderPinned:
-    """Small-replica results pinned to values recorded with the scalar
-    per-replica event loop, before replicas ran as one batch.
+    """Small-replica results pinned to values recorded with the untimed draw
+    order: per event a type uniform, then a location or a victim, and no
+    holding-time uniform (the horizon run draws one, as run_coupled_chains
+    does).
 
     Every estimate is a fixed function of the uniforms each replica draws, so
     a change in the order of draws moves these numbers.  The relative
-    tolerance only absorbs log1p rounding differences (math.log1p against
-    numpy's, or between platforms).
+    tolerance only absorbs rounding differences between platforms (log1p's
+    among them, in the horizon run).
     """
 
     REL = 1e-9
@@ -945,35 +1066,35 @@ class TestDrawOrderPinned:
         matching = reference_test_functions(space)[2]
         self.check(
             estimate_delta_h(f, xi, a, 1, space, 40, 11),
-            -0.09113113143778889, 0.016728730909776772,
+            -0.07738095238095238, 0.009351896790172837,
         )
         self.check(
             estimate_delta_h(matching, xi, a, 1, space, 20, 12),
-            0.17612387672892313, 0.030090143533153275,
+            0.16223337687477216, 0.02833705221492176,
         )
         self.check(
             estimate_delta_h(f, xi, a, 1, space, 40, 11, max_events=3),
-            -0.23187478980470838, 0.0253840173682664, capped=25,
+            -0.2122572055137845, 0.02740882993395804, capped=21,
         )
         self.check(
             estimate_delta2_h(f, xi, a, b, 1, space, 40, 13),
-            -0.007404510174177333, 0.0044303704560127955,
+            -0.0079077380952381, 0.005382295597441241,
         )
         self.check(
             estimate_h(f, xi, 1, space, 40, 14),
-            0.15840357117121046, 0.049176270042111,
+            0.10476029526029525, 0.03855492739633893,
         )
         self.check(
             stein_residual(f, xi, 1, space, 30, 15),
-            0.021262238004496392, 0.06296237513661217,
+            0.012120206159012825, 0.04879065689025493,
         )
         self.check(
             estimate_coalescence_time(xi, a, 1, space, 40, 16),
-            1.312321134978871, 0.19955050313838318,
+            1.146737012987013, 0.19774211246497375,
         )
         self.check(
             estimate_coalescence_time(xi, a, 1, space, 40, 16, max_events=3),
-            0.22176771053203181, 0.06904628744678892, capped=29,
+            0.2605042016806723, 0.02621518030808027, capped=23,
         )
 
     def test_delta_bounds_units(self):
@@ -982,10 +1103,10 @@ class TestDrawOrderPinned:
             lam=3.0, m=1, n_scenarios=1, replicas=30, seed=20, nonuniform_offsets=(2,)
         )
         want = {
-            "uniform-0-order1": (0.15484000526629071, 0.03036312749466025),
-            "uniform-0-order2": (-0.008105010878051584, 0.010438715516914436),
-            "nonuniform-size3-order1": (-0.07953445097840091, 0.01290080077565349),
-            "nonuniform-size3-order2": (-0.02803951692465266, 0.01949151092643856),
+            "uniform-0-order1": (0.11760477808013241, 0.02073535420806045),
+            "uniform-0-order2": (-0.006819845140357319, 0.008079266850947118),
+            "nonuniform-size3-order1": (-0.06432948532948535, 0.00788353988295992),
+            "nonuniform-size3-order2": (-0.001031746031746028, 0.002149372304869698),
         }
         assert [row["scenario"] for row in report["rows"]] == list(want)
         for row in report["rows"]:
@@ -1028,29 +1149,29 @@ class TestDrawOrderPinned:
         matching = reference_test_functions(space)[2]
         self.check(
             estimate_delta2_h(matching, xi, a, b, 1, space, 12, 17),
-            -0.0015879686751862885, 0.0011876797578007664,
+            -0.006513415696052277, 0.016670803976190675,
         )
         self.check(
             estimate_h(matching, xi, 1, space, 12, 18),
-            -0.1590782518876219, 0.05533057942713741,
+            -0.11152464891134321, 0.08818657898673954,
         )
 
     def test_large_live_sets(self):
-        # At lambda = 40 a replica holds up to 40 identities and reads up to
-        # about 600 uniforms: past the engine's first live-set width (21 + 8)
+        # At lambda = 40 a replica holds up to 50 identities and reads up to
+        # about 430 uniforms: past the engine's first live-set width (21 + 8)
         # and past its first block of 64 uniforms.
         space = unit_interval(40.0)
         xi = configuration_from_locations(space.sample(derive_stream(5, 124), 20))
         f = CountTestFunction(log_rule)
         self.check(
             estimate_delta_h(f, xi, self.a, 1, space, 8, 19),
-            -0.03473445918576326, 0.010612817889900381,
+            -0.03464140377491253, 0.011934611009562173,
         )
         self.check(
             estimate_h(f, xi, 1, space, 8, 20),
-            0.5132096392505713, 0.10691902359445601,
+            0.5640723215809533, 0.07442003374408443,
         )
         self.check(
             estimate_delta_h(reference_test_functions(space)[2], xi, self.a, 1, space, 6, 21),
-            -0.004366943355158124, 0.0007765547212551318,
+            -0.0041855594127155945, 0.0013829785833990443,
         )

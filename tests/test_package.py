@@ -62,32 +62,42 @@ def test_scipy_loads_only_at_the_first_assignment_solve():
     assert not {m for m in solved if m.split(".")[:2] == ["scipy", "stats"]}
 
 
+# The count estimators with their oracle, the Stein battery, and every
+# d-bar-1 on the unit line (the sorted-matching DP).
+COUNT_PATH = [
+    "import sys",
+    f"sys.path.insert(0, {str(TESTS_DIR)!r})",
+    "from oracles import count_chain_h",
+    "from condpp.coupling import CountTestFunction, estimate_delta_h, estimate_delta2_h",
+    "from condpp.coupling import reference_test_functions",
+    "from condpp.groundspace import configuration_from_locations as cfg, unit_interval",
+    "from condpp.metrics import d1_bar",
+    "from condpp.verify import verify_stein",
+    "rule = lambda j: min(1.0, j / 10.0)",
+    "count_chain_h(5.0, 1, rule, top=60)",
+    "space, f = unit_interval(5.0), CountTestFunction(rule)",
+    "xi = cfg([[0.2], [0.5], [0.8]])",
+    "estimate_delta_h(f, xi, [0.3], 1, space, 20, 7)",
+    "estimate_delta2_h(f, xi, [0.3], [0.6], 1, space, 20, 7)",
+    "verify_stein(lam=3.0, m=1, sizes=(1, 2), replicas=20, seed=0)",
+    "d1_bar(cfg([[0.1], [0.5], [0.7]]), cfg([[0.2], [0.3], [0.6], [0.9]]), space)",
+    "estimate_delta_h(reference_test_functions(space)[2], xi, [0.3], 1, space, 20, 7)",
+]
+
+
 def test_count_path_and_unit_line_load_no_scipy():
-    # The count estimators with their oracle, the Stein battery, and every
-    # d-bar-1 on the unit line (the sorted-matching DP) run without scipy.
-    code = "; ".join([
-        "import sys",
-        f"sys.path.insert(0, {str(TESTS_DIR)!r})",
-        "from oracles import count_chain_h",
-        "from condpp.coupling import CountTestFunction, estimate_delta_h, estimate_delta2_h",
-        "from condpp.coupling import reference_test_functions",
-        "from condpp.groundspace import configuration_from_locations as cfg, unit_interval",
-        "from condpp.metrics import d1_bar",
-        "from condpp.verify import verify_stein",
-        "rule = lambda j: min(1.0, j / 10.0)",
-        "count_chain_h(5.0, 1, rule, top=60)",
-        "space, f = unit_interval(5.0), CountTestFunction(rule)",
-        "xi = cfg([[0.2], [0.5], [0.8]])",
-        "estimate_delta_h(f, xi, [0.3], 1, space, 20, 7)",
-        "estimate_delta2_h(f, xi, [0.3], [0.6], 1, space, 20, 7)",
-        "verify_stein(lam=3.0, m=1, sizes=(1, 2), replicas=20, seed=0)",
-        "d1_bar(cfg([[0.1], [0.5], [0.7]]), cfg([[0.2], [0.3], [0.6], [0.9]]), space)",
-        "estimate_delta_h(reference_test_functions(space)[2], xi, [0.3], 1, space, 20, 7)",
-        LOADED,
-    ])
-    (loaded,) = run_fresh(code)
+    (loaded,) = run_fresh("; ".join([*COUNT_PATH, LOADED]))
     assert "condpp.coupling" in loaded
     assert [m for m in loaded if m.startswith("scipy")] == []
+
+
+def test_count_path_and_unit_line_load_no_process_pool():
+    # The worker pools of metrics and verify load only when workers > 1.
+    pools = ("print(*sorted(m for m in sys.modules"
+             " if m.partition('.')[0] in ('condpp', 'multiprocessing', 'concurrent')))")
+    (loaded,) = run_fresh("; ".join([*COUNT_PATH, pools]))
+    assert "condpp.coupling" in loaded
+    assert [m for m in loaded if not m.startswith("condpp")] == []
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from condpp.simulate import (
 )
 from oracles import (
     cid_chain_events,
+    conditional_count_expectation_mp,
     conditional_count_mean_mp,
     conditional_count_pmf_mp,
     transient_count_law,
@@ -74,6 +76,21 @@ class TestCountPMF:
         series = sum(j * law.pmf(j) for j in range(m, m + 150))
         assert law.mean() == pytest.approx(series, rel=1e-10)
         assert 0.0 <= count_tv_distance([m, m, m + 1], law) <= 1.0
+
+    @pytest.mark.parametrize("lam,m", [(0.5, 0), (3.0, 1), (10.0, 2), (50.0, 5), (1.0, 200)])
+    @pytest.mark.parametrize("rule", ["saturating", "harmonic"])
+    def test_expectation_matches_high_precision(self, lam, m, rule):
+        # min(1, j/10), and the steepest rule a count functional may have,
+        # H_j with increments 1/(j+1); (1, 200) is where the Poisson tail
+        # underflows.
+        if rule == "saturating":
+            g, exact = (lambda j: min(1.0, j / 10.0)), (lambda j: mpmath.mpf(min(j, 10)) / 10)
+        else:
+            g, exact = (lambda j: math.fsum(1.0 / i for i in range(1, j + 1))), mpmath.harmonic
+        want = conditional_count_expectation_mp(lam, m, exact, top=m + 60 + 4 * math.ceil(lam))
+        assert conditional_count_pmf(lam, m).expectation(g) == pytest.approx(
+            float(want), rel=1e-12
+        )
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
