@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _upper_tail_sum, poisson_tail_ratio
+from .bounds import _check_lam, _check_m, _upper_tail_sum, poisson_tail_ratio
 from .estimates import MCEstimate
 from .groundspace import (
     Configuration, GroundSpace, RandomStream, _Drawn, derive_stream, derive_streams, is_unit_line,
@@ -152,7 +152,7 @@ class MatchingDistanceTestFunction(TestFunction):
     needs_locations = True
 
     def __init__(self, reference: Configuration, space: GroundSpace):
-        _check_inputs(reference, 0, space, "reference")
+        space.check(reference, "reference")
         self.reference = reference
         self._sorted = _lex(reference.locations)
         self._padded = _padded_by_size([reference.locations]) if is_unit_line(space) else None
@@ -219,7 +219,7 @@ def _start(initial, floors, space: GroundSpace) -> tuple[np.ndarray, np.ndarray]
     chain, so chains share points by multiset intersection; first seen first."""
     masks = {}
     for c, cfg in enumerate(initial):
-        _check_inputs(cfg, floors[c], space, f"chain {c}")
+        space.check(cfg, f"chain {c}", floors[c])
         copies = {}
         for loc in map(tuple, cfg.locations.tolist()):
             key = loc, copies.setdefault(loc, 0)
@@ -395,8 +395,8 @@ def run_coupled_chains(
     """
     if not initial or len(floors) != len(initial):
         raise ValueError("need one floor per chain")
-    if horizon is not None and not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
+    if horizon is not None:
+        horizon = _check_lam(horizon, "horizon")
     if coefficients is not None and len(coefficients) != len(initial):
         raise ValueError("need one coefficient per chain")
     run = _run_batch(
@@ -408,24 +408,6 @@ def run_coupled_chains(
         float(integral), float(elapsed), int(events), None if np.isnan(tau) else float(tau),
         bool(capped), tuple(counts.tolist()),
     )
-
-
-def _check_inputs(xi: Configuration, m: int, space: GroundSpace, label="xi", **points) -> None:
-    """Refuse a negative floor m, xi (called label) off the space or below m,
-    and a named point that is not one point of the space (NaN lies in none)."""
-    if m < 0:
-        raise ValueError("the floor m must be nonnegative")
-    if xi.dimension != space.dimension:
-        raise ValueError(f"{label}'s dimension does not match the space")
-    if xi.size < m:
-        raise ValueError(f"{label} must sit at or above the floor m")
-    if not all(space.contains(x) for x in xi.locations):
-        raise ValueError(f"{label}'s points must lie in the space")
-    for name, point in points.items():
-        if np.size(point) != space.dimension:
-            raise ValueError(f"{name} must be one point of the space's dimension")
-        if not space.contains(np.reshape(np.asarray(point, dtype=float), space.dimension)):
-            raise ValueError(f"{name} must lie in the space")
 
 
 def _run_replicas(
@@ -484,14 +466,7 @@ def _contrast_estimate(
         bump = span * float(np.mean(taus[~capped]))
         integrals = integrals.copy()
         integrals[capped] += np.where(integrals[capped] >= 0.0, bump, -bump)
-    values = -integrals
-    return MCEstimate(
-        estimate=float(values.mean()),
-        se=float(values.std(ddof=1) / math.sqrt(values.size)),
-        replicas=values.size,
-        seed=seed,
-        capped=int(capped.sum()),
-    )
+    return MCEstimate.from_sample(-integrals, seed, capped=int(capped.sum()))
 
 
 def estimate_delta_h(
@@ -505,8 +480,9 @@ def estimate_delta_h(
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> MCEstimate:
     """Monte Carlo h(xi + delta_alpha) - h(xi) via the coupled pair."""
-    _check_inputs(xi, m, space, alpha_location=alpha_location)
-    row = _row([(xi.locations, 0b11), (np.reshape(alpha_location, (1, -1)), 0b01)])
+    space.check(xi, "xi", m)
+    alpha = space.point(alpha_location, "alpha_location")
+    row = _row([(xi.locations, 0b11), (alpha[None], 0b01)])
     (runs,) = _run_replicas(
         [(lambda r, stream: row, seed, replicas)], [m, m], (1.0, -1.0), f, space,
         max_events=max_events,
@@ -526,12 +502,11 @@ def estimate_delta2_h(
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> MCEstimate:
     """Monte Carlo second difference of h via four coupled chains."""
-    _check_inputs(xi, m, space, alpha_location=alpha_location, beta_location=beta_location)
+    space.check(xi, "xi", m)
+    alpha = space.point(alpha_location, "alpha_location")
+    beta = space.point(beta_location, "beta_location")
     # Chains [xi + alpha + beta, xi + alpha, xi + beta, xi].
-    row = _row([
-        (xi.locations, 0b1111), (np.reshape(alpha_location, (1, -1)), 0b0011),
-        (np.reshape(beta_location, (1, -1)), 0b0101),
-    ])
+    row = _row([(xi.locations, 0b1111), (alpha[None], 0b0011), (beta[None], 0b0101)])
     (runs,) = _run_replicas(
         [(lambda r, stream: row, seed, replicas)], [m, m, m, m], (1.0, -1.0, -1.0, 1.0), f,
         space, max_events=max_events,
@@ -554,7 +529,7 @@ def estimate_h(
     integrates to pi(f) and the coupled contrast integrates to h(xi) without
     any additive constant; runs stop once the two identity sets merge.
     """
-    _check_inputs(xi, m, space)
+    space.check(xi, "xi", m)
 
     def with_partner(r: int, stream: RandomStream):
         partner = sample_conditional_poisson(space, m, stream)
@@ -585,8 +560,9 @@ def estimate_coalescence_time(
     excluded from the mean and counted in the capped field instead of being
     inflated.
     """
-    _check_inputs(xi, m, space, alpha_location=alpha_location)
-    row = _row([(xi.locations, 0b11), (np.reshape(alpha_location, (1, -1)), 0b01)])
+    space.check(xi, "xi", m)
+    alpha = space.point(alpha_location, "alpha_location")
+    row = _row([(xi.locations, 0b11), (alpha[None], 0b01)])
     ((_, capped, taus),) = _run_replicas(
         [(lambda r, stream: row, seed, replicas)], [m, m], None, None, space,
         max_events=max_events,
@@ -594,13 +570,7 @@ def estimate_coalescence_time(
     times = taus[~capped]
     if times.size < 2:
         raise RuntimeError("too few completed replicas for a mean")
-    return MCEstimate(
-        estimate=float(times.mean()),
-        se=float(times.std(ddof=1) / math.sqrt(times.size)),
-        replicas=replicas,
-        seed=seed,
-        capped=int(capped.sum()),
-    )
+    return MCEstimate.from_sample(times, seed, replicas=replicas, capped=int(capped.sum()))
 
 
 def estimate_pi_f(
@@ -630,12 +600,7 @@ def estimate_pi_f(
         streams = derive_streams(seed, range(stream_offset + lo, stream_offset + hi))
         for i, stream in enumerate(streams, lo):
             vals[i] = value(stream)
-    return MCEstimate(
-        estimate=float(vals.mean()),
-        se=float(vals.std(ddof=1) / math.sqrt(replicas)),
-        replicas=replicas,
-        seed=seed,
-    )
+    return MCEstimate.from_sample(vals, seed)
 
 
 def stein_residual(
@@ -707,7 +672,7 @@ def stein_residuals(
     if len(xis) != len(seeds):
         raise ValueError("need one seed per configuration")
     for xi in xis:
-        _check_inputs(xi, m, space)
+        space.check(xi, "xi", m)
     if replicas < 2:  # a job's rows are replicas times its component count
         raise ValueError("need at least 2 replicas")
     runs = _run_replicas(
@@ -750,14 +715,21 @@ def p_survival_analytic(lam: float, k: int) -> float:
     mode, and at k = 1 for lam <= 1 where k/lam is large, it is computed as
     k T/(1 + lam T), T as in bounds, free of that cancellation.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lam must be positive and finite")
+    lam, k = _check_lam(lam), _check_m(k, "k")
     if k > math.ceil(lam) or (k == 1 and lam <= 1.0):
         t = _upper_tail_sum(lam, k)
         return k * t / (1.0 + lam * t)
     return 1.0 - (poisson_tail_ratio(lam, k) - k / lam)
+
+
+def _check_survival(lam: float, k: int, m: int, replicas: int) -> None:
+    """Refuse what estimate_p_survival cannot run: fewer than 100 replicas,
+    lam, k or m off the bounds rules, or m above k."""
+    if replicas < 100:
+        raise ValueError("need at least 100 replicas")
+    if _check_m(m) > _check_m(k, "k"):
+        raise ValueError("need 0 <= m <= k")
+    _check_lam(lam)
 
 
 def estimate_p_survival(
@@ -775,12 +747,7 @@ def estimate_p_survival(
     are consumed (transition type, then victim), keeping the draw pattern
     deterministic.
     """
-    if replicas < 100:
-        raise ValueError("need at least 100 replicas")
-    if not 0 <= m <= k:
-        raise ValueError("need 0 <= m <= k")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError("lam must be positive and finite")
+    _check_survival(lam, k, m, replicas)
     stream = derive_stream(seed, 0)
     counts = np.full(replicas, k + 1, dtype=np.int64)
     survived = np.zeros(replicas, dtype=bool)

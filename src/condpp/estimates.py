@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -19,6 +20,12 @@ class MCEstimate:
     replicas: int
     seed: int
     capped: int = 0
+
+    @classmethod
+    def from_sample(cls, values, seed: int, replicas: int | None = None, capped: int = 0):
+        """Mean and standard error std(ddof=1)/sqrt(n) of a sample array of n >= 2."""
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        return cls(float(values.mean()), float(se), replicas or values.size, seed, capped)
 
     @property
     def capped_fraction(self) -> float:

@@ -23,6 +23,8 @@ from typing import Callable
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .bounds import _check_lam, _check_m
+
 __all__ = [
     "RandomStream",
     "derive_stream",
@@ -224,15 +226,32 @@ class GroundSpace:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if not (self.total_mass > 0.0 and math.isfinite(self.total_mass)):
-            raise ValueError("total_mass must be positive and finite")
+        _check_lam(self.total_mass, "total_mass")
+
+    def check(self, config: Configuration, label: str, floor: int = 0) -> None:
+        """Refuse a floor that is not a nonnegative integer, and a configuration
+        (called label) off this space's dimension, below the floor, or with a
+        point the space does not contain (NaN lies in none)."""
+        floor = _check_m(floor, "the floor m")
+        if config.dimension != self.dimension:
+            raise ValueError(f"{label}'s dimension does not match the ground space")
+        if config.size < floor:
+            raise ValueError(f"{label} must sit at or above the floor m")
+        if not all(self.contains(x) for x in config.locations):
+            raise ValueError(f"{label}'s points must lie in the space")
+
+    def point(self, x, label: str) -> np.ndarray:
+        """x as one point of this space, a (dimension,) array; NaN is refused."""
+        if np.size(x) != self.dimension:
+            raise ValueError(f"{label} must be one point of the space's dimension")
+        x = np.reshape(np.asarray(x, dtype=float), self.dimension)
+        if not self.contains(x):
+            raise ValueError(f"{label} must lie in the space")
+        return x
 
     def distance(self, x, y) -> float:
         """Validated d0 between two points of this space."""
-        x = np.asarray(x, dtype=float).reshape(self.dimension)
-        y = np.asarray(y, dtype=float).reshape(self.dimension)
-        if not (self.contains(x) and self.contains(y)):
-            raise ValueError("point outside the ground space")
+        x, y = self.point(x, "x"), self.point(y, "y")
         d = float(self.metric(x, y))
         if not (0.0 <= d <= 1.0 + 1e-12):
             raise ValueError(f"metric returned {d}, outside [0, 1]")

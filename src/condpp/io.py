@@ -146,7 +146,7 @@ def trajectory_from_obj(obj: Any, where: str = "trajectory") -> Trajectory:
         events.append((float(time), kind, int(tag), loc))
     try:
         return Trajectory.from_events(initial, obj["horizon"], obj["m"], events)
-    except ValueError as exc:  # a tag the columns cannot hold
+    except ValueError as exc:  # a trajectory no chain run gives
         raise SchemaError(f"{where}: {exc}") from exc
 
 

@@ -31,16 +31,6 @@ from .transport import solve_balanced_transport
 __all__ = ["d1_bar", "d2_bar_empirical", "D2Estimate"]
 
 
-def _check_points(cfgs, space: GroundSpace) -> None:
-    """Refuse a configuration off the space's dimension or with a point the
-    space does not contain (NaN lies in none)."""
-    for cfg in cfgs:
-        if cfg.dimension != space.dimension:
-            raise ValueError("configuration dimension does not match the ground space")
-        if not all(space.contains(x) for x in cfg.locations):
-            raise ValueError("configuration points must lie in the space")
-
-
 def _d1_locs(a: np.ndarray, b: np.ndarray, space: GroundSpace) -> float:
     """d1_bar from two location arrays, each in lexicographic point order (_lex).
 
@@ -74,7 +64,8 @@ def _lex(x: np.ndarray) -> np.ndarray:
 def d1_bar(xi: Configuration, eta: Configuration, space: GroundSpace) -> float:
     """Normalized minimum-cost matching distance between two configurations
     of the space; a point off the space, or NaN, is refused."""
-    _check_points((xi, eta), space)
+    space.check(xi, "configuration")
+    space.check(eta, "configuration")
     return _d1_locs(_lex(xi.locations), _lex(eta.locations), space)
 
 
@@ -172,7 +163,8 @@ def pairwise_d1_matrix(
     q_locs = [q.locations for q in qs]
     if is_unit_line(space):
         return _line_matrix(_padded_by_size(p_locs), _padded_by_size(q_locs))
-    _check_points((*ps, *qs), space)
+    for cfg in (*ps, *qs):
+        space.check(cfg, "configuration")
     if workers <= 1 or len(ps) < 2 * workers:
         return _rows_block(space, p_locs, q_locs)
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing

@@ -28,7 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _upper_tail_sum, binomial_tail, poisson_pmf, poisson_tail, poisson_tail_ratio
+from .bounds import (
+    _check_lam, _check_m, _upper_tail_sum, binomial_tail, poisson_pmf, poisson_tail,
+    poisson_tail_ratio,
+)
 from .groundspace import Configuration, GroundSpace, RandomStream, _Drawn
 
 __all__ = [
@@ -71,10 +74,8 @@ class CountPMF:
     m: int
 
     def __post_init__(self):
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValueError("lam must be positive and finite")
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
+        _check_lam(self.lam)
+        _check_m(self.m)
 
     def pmf(self, j: int) -> float:
         lam, m = self.lam, self.m
@@ -110,7 +111,7 @@ class CountPMF:
 
 
 def conditional_count_pmf(lam: float, m: int) -> CountPMF:
-    return CountPMF(lam=float(lam), m=int(m))
+    return CountPMF(lam=float(lam), m=_check_m(m))
 
 
 def count_tv_distance(counts, law: CountPMF) -> float:
@@ -163,8 +164,7 @@ def _conditional_count(space: GroundSpace, m: int, stream: RandomStream) -> int:
     Counts alone are resampled until acceptance; each rejected attempt
     consumes exactly one uniform.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_m(m)
     lam = _check_space_lam(space)
     if m > 0:
         accept = poisson_tail(lam, m)
@@ -206,7 +206,7 @@ def _indicator_attempts(
     """
     if n < 1 or not 0.0 < p < 1.0:
         raise ValueError("need n >= 1 and p in (0, 1)")
-    if conditional_m < 0 or conditional_m > n:
+    if _check_m(conditional_m, "conditioning level") > n:
         raise ValueError("conditioning level must lie in {0, ..., n}")
     if conditional_m > 0:
         accept = binomial_tail(n, p, conditional_m)
@@ -267,14 +267,20 @@ class Trajectory:
     def from_events(cls, initial: Configuration, horizon: float, m: int, events) -> Trajectory:
         """The trajectory of (time, kind, tag, location) tuples in time order.
 
-        Raises ValueError naming the event when an immigrant's tag is not the
-        next one or a death removes a point that is not alive: the columns
-        could not hold either.
+        Refuses what no chain run gives: horizon and m off the bounds rules, a
+        start below m, and, naming the event, a time out of order, NaN or past
+        the horizon, an immigrant tag that is not the next one, or a death of a
+        point that is not alive or at the floor.
         """
+        horizon, m = _check_lam(horizon, "horizon"), _check_m(m)
+        if initial.size < m:
+            raise ValueError("initial configuration must sit at or above the floor m")
         alive = set(range(initial.size))
         tag = initial.size
         times, codes, places = [], [], []
         for i, (time, kind, got, loc) in enumerate(events):
+            if not (times[-1] if times else 0.0) <= time < horizon:  # NaN fails too
+                raise ValueError(f"event {i}: time {time!r} is out of order or past the horizon")
             if kind == "immigration":
                 if got != tag:
                     raise ValueError(f"event {i}: immigrant tag {got} is not the next tag {tag}")
@@ -285,11 +291,13 @@ class Trajectory:
             else:
                 if got not in alive:
                     raise ValueError(f"event {i}: death of tag {got}, which is not alive")
+                if len(alive) <= m:
+                    raise ValueError(f"event {i}: death at the floor m")
                 alive.remove(got)
                 codes.append(got)
             times.append(time)
         places = np.array(places, dtype=float).reshape(len(places), initial.dimension)
-        return cls(initial, float(horizon), int(m), tuple(times), tuple(codes), places)
+        return cls(initial, horizon, m, tuple(times), tuple(codes), places)
 
     @property
     def events(self) -> tuple[tuple[float, str, int, tuple | None], ...]:
@@ -350,18 +358,10 @@ def simulate_cid_chain(
     Dynamics: immigration at rate Lambda with location from the normalized
     intensity; each point dies at unit rate, but deaths are suppressed while
     the population sits at the floor m.  The stationary law is Po^(m).  A
-    start point off the space, or NaN, is refused before any draw.
+    start that GroundSpace.check refuses is refused before any draw.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if initial.size < m:
-        raise ValueError("initial configuration below the floor m")
-    if initial.dimension != space.dimension:
-        raise ValueError("configuration dimension does not match the ground space")
-    if not all(space.contains(x) for x in initial.locations):
-        raise ValueError("initial configuration's points must lie in the space")
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
+    space.check(initial, "initial configuration", m)
+    horizon = _check_lam(horizon, "horizon")
     lam = space.total_mass  # the chain inverts no count, so any finite mass runs
 
     dim = space.dimension
@@ -395,4 +395,4 @@ def simulate_cid_chain(
     # uniform ended the run.
     stream._unread(sum(read) - (3 * len(times) + (dim - 1) * arrivals + 1))
     places = space.sample(_Drawn(np.array(drawn)), arrivals)
-    return Trajectory(initial, float(horizon), int(m), tuple(times), tuple(codes), places)
+    return Trajectory(initial, horizon, int(m), tuple(times), tuple(codes), places)

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .bounds import (
+    _check_m,
     compute_stein_bounds,
     first_diff_bound,
     first_diff_bound_nonuniform,
@@ -21,6 +22,7 @@ from .bounds import (
     second_diff_bound_nonuniform,
 )
 from .coupling import (
+    _check_survival,
     estimate_delta2_h,
     estimate_delta_h,
     estimate_p_survival,
@@ -56,28 +58,31 @@ def verify_p_survival(
 
     The survival probability does not depend on the floor m (the count stays
     above k >= m for the whole excursion), so any m <= min(ks) is valid.
+    Every cell is checked before the first estimate; an empty grid is refused.
     """
+    grid = [(i, lam, j, k) for i, lam in enumerate(lams) for j, k in enumerate(ks)]
+    if not grid:
+        raise ValueError("lams and ks must each name at least one value")
+    for _, lam, _, k in grid:
+        _check_survival(lam, k, m, replicas)
     rows = []
-    for i, lam in enumerate(lams):
-        for j, k in enumerate(ks):
-            analytic = p_survival_analytic(lam, k)
-            est = estimate_p_survival(
-                lam, k, m=m, replicas=replicas, seed=seed + 101 * i + j
-            )
-            gap = abs(est.estimate - analytic)
-            ok = gap <= 3.0 * est.se
-            rows.append(
-                {
-                    "scenario": f"lambda={lam:g},k={k}",
-                    "lambda": lam,
-                    "k": k,
-                    "analytic": analytic,
-                    "estimate": est.estimate,
-                    "se": est.se,
-                    "bound": analytic,
-                    "pass": ok,
-                }
-            )
+    for i, lam, j, k in grid:
+        analytic = p_survival_analytic(lam, k)
+        est = estimate_p_survival(lam, k, m=m, replicas=replicas, seed=seed + 101 * i + j)
+        gap = abs(est.estimate - analytic)
+        ok = gap <= 3.0 * est.se
+        rows.append(
+            {
+                "scenario": f"lambda={lam:g},k={k}",
+                "lambda": lam,
+                "k": k,
+                "analytic": analytic,
+                "estimate": est.estimate,
+                "se": est.se,
+                "bound": analytic,
+                "pass": ok,
+            }
+        )
     return {
         "battery": "p-survival",
         "m": m,
@@ -106,12 +111,11 @@ def verify_stein(
     (m, m + 1, m + 3): the floor, one point above it and three above it.
     Every size's coupled components run through the engine as one batch.
     """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    _check_m(m)
     sizes = (m, m + 1, m + 3) if sizes is None else tuple(sizes)
     if not sizes:
         raise ValueError("sizes must name at least one configuration size")
-    if any(size < m for size in sizes):
+    if any(_check_m(size, "sizes") < m for size in sizes):
         raise ValueError("sizes must sit at or above the floor m")
     space = unit_interval(lam)
     f = reference_test_functions(space)[3]
@@ -215,16 +219,19 @@ def verify_delta_bounds(
 
     Uniform rows draw random scenarios; non-uniform rows pin the size of xi
     at m + offset.  Scenarios are independent work units with derived
-    streams, so results do not depend on the worker count.
+    streams, so results do not depend on the worker count.  lam, m and the
+    grid are checked before any unit runs; an empty grid is refused.
     """
     if m < 1:
         raise ValueError("delta-bounds battery requires m >= 1")
-    if n_scenarios < 0:
-        raise ValueError("delta-bounds battery requires n_scenarios >= 0")
-    if any(off < 0 for off in nonuniform_offsets):
-        raise ValueError("delta-bounds battery requires nonuniform_offsets >= 0")
+    bounds = compute_stein_bounds(lam, m)
+    n_scenarios = _check_m(n_scenarios, "n_scenarios")
+    for off in nonuniform_offsets:
+        _check_m(off, "nonuniform_offsets")
     units = [("uniform", lam, m, replicas, seed, s) for s in range(n_scenarios)]
     units += [("nonuniform", lam, m, replicas, seed, m + off) for off in nonuniform_offsets]
+    if not units:
+        raise ValueError("delta-bounds battery needs a scenario or a nonuniform offset")
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
@@ -233,7 +240,6 @@ def verify_delta_bounds(
     else:
         blocks = [_delta_bounds_unit(u) for u in units]
     rows = [r for block in blocks for r in block]
-    bounds = compute_stein_bounds(lam, m)
     return {
         "battery": "delta-bounds",
         "lambda": lam,

@@ -231,6 +231,8 @@ class TestStructure:
             bounds.k1(3.0, -1)
         with pytest.raises(ValueError):
             bounds.first_diff_bound(float("nan"), 1)
+        with pytest.raises(ValueError):
+            p_survival_analytic(2.0, 1.5)
 
 
 class TestPSurvival:

@@ -897,6 +897,7 @@ def test_estimators_refuse_bad_points_before_any_run(monkeypatch):
         ("xi's points", lambda: stein_residuals(f, [xi, nan_xi], 1, space, 10, [1, 2])),
         ("floor m must be nonnegative", lambda: estimate_delta_h(f, xi, a, -1, space, 10, 0)),
         ("floor m must be nonnegative", lambda: estimate_h(f, xi, -1, space, 10, 0)),
+        ("floor m must be nonnegative", lambda: estimate_delta_h(f, xi, a, 1.5, space, 10, 0)),
     ]
     for message, call in refused:
         with pytest.raises(ValueError, match=message):

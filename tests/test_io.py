@@ -140,6 +140,30 @@ class TestTrajectoryRoundTrip:
         with pytest.raises(io.SchemaError, match=named):
             io.trajectory_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"horizon": -5.0}, "horizon"),
+            ({"horizon": float("nan")}, "horizon"),
+            ({"m": -1}, "m must be nonnegative"),
+            ({"m": 1.5}, "m must be nonnegative"),  # not read as m = 1
+            ({"m": 3}, "floor"),  # a start of two points below the floor 3
+            ({"events": [[0.4, "death", 0, None], [0.3, "death", 1, None]]}, "event 1: time"),
+            ({"events": [[float("nan"), "death", 0, None]]}, "event 0: time"),
+            ({"events": [[-0.1, "death", 0, None]]}, "event 0: time"),
+            ({"events": [[0.5, "immigration", 2, [0.3]], [1.0, "death", 0, None]]}, "event 1"),
+            (
+                {"m": 1, "events": [[0.1, "death", 0, None], [0.2, "death", 1, None]]},
+                "event 1: death at the floor",
+            ),
+        ],
+    )
+    def test_what_no_chain_run_writes_is_refused(self, change, named):
+        obj = {"m": 0, "horizon": 1.0, "initial": {"points": [[0.2], [0.7]]}, "events": []}
+        obj.update(change)
+        with pytest.raises(io.SchemaError, match=named):
+            io.trajectory_from_obj(obj)
+
     def test_event_kind_validated(self):
         obj = {
             "m": 0,

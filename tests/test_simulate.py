@@ -97,6 +97,10 @@ class TestCountPMF:
             CountPMF(0.0, 1)
         with pytest.raises(ValueError):
             CountPMF(2.0, -1)
+        with pytest.raises(ValueError):
+            CountPMF(2.0, 1.5)
+        with pytest.raises(ValueError):  # not read as m = 1
+            conditional_count_pmf(2.0, 1.5)
 
 
 class TestCountTV:
@@ -404,6 +408,10 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             simulate_cid_chain(
                 empty_configuration(), 2, 1.0, space, derive_stream(0, 0)
+            )
+        with pytest.raises(ValueError):  # a floor that is not an integer
+            simulate_cid_chain(
+                Configuration(np.array([[0.2], [0.7]])), 1.5, 1.0, space, derive_stream(0, 0)
             )
 
     def test_runs_where_count_inversion_underflows(self):

@@ -35,6 +35,24 @@ class TestPSurvivalBattery:
         with pytest.raises(ValueError):
             verify.verify_p_survival(lams=(2.0,), ks=(1,), m=2, replicas=1000)
 
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            ({"lams": (1.0, float("nan"))}, "lam must be positive"),
+            ({"ks": (5, -1)}, "k must be nonnegative"),
+            ({"ks": (2, 1.5)}, "k must be nonnegative"),
+            ({"ks": (2, 1), "m": 2}, "m <= k"),
+            ({"replicas": 99}, "100 replicas"),
+            ({"lams": ()}, "at least one"),
+            ({"ks": ()}, "at least one"),
+        ],
+    )
+    def test_bad_cell_or_empty_grid_rejected_before_any_run(self, monkeypatch, grid, named):
+        # the whole grid is checked before the first cell's estimate runs
+        monkeypatch.setattr(verify, "estimate_p_survival", _must_not_run)
+        with pytest.raises(ValueError, match=named):
+            verify.verify_p_survival(**{"replicas": 1000, **grid})
+
 
 class TestSteinBattery:
     def test_small_battery_passes(self):
@@ -97,6 +115,12 @@ class TestDeltaBoundsBattery:
     def test_negative_scenario_count_rejected(self):
         with pytest.raises(ValueError, match="n_scenarios"):
             verify.verify_delta_bounds(lam=3.0, m=1, n_scenarios=-4, replicas=20)
+
+    def test_empty_grid_rejected_before_any_run(self, monkeypatch):
+        # no scenario and no pinned size would pass with no rows
+        monkeypatch.setattr(verify, "estimate_delta_h", _must_not_run)
+        with pytest.raises(ValueError, match="scenario"):
+            verify.verify_delta_bounds(lam=3.0, m=1, n_scenarios=0, nonuniform_offsets=())
 
     def test_negative_offset_rejected_before_any_unit_runs(self, monkeypatch):
         monkeypatch.setattr(verify, "estimate_delta_h", _must_not_run)
