@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .bounds import _check_m
 from .estimates import MCEstimate
 from .groundspace import Configuration, GroundSpace, RandomStream, derive_stream, unit_interval
 from .metrics import D2Estimate, d2_bar_empirical
@@ -41,7 +42,7 @@ def bernoulli_bound(n: int, p: float) -> tuple[float, float | None]:
     1/(1 - (1-p)^n) and the discretization term min(1/(2n) + p/2,
     1/sqrt(3np)).
     """
-    if n < 1:
+    if _check_m(n, "n") < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"need p in (0, 1), got p={p}")

@@ -47,8 +47,8 @@ _K2_SWITCH = 1.76
 
 def _check_lam(lam: float, name: str = "lam") -> float:
     """lam as a float; the one positive-and-finite rule (rates, masses, horizons)."""
-    # float and int first: the numbers.Real check alone takes about 0.4 us, and samplers
-    # reach this once a draw
+    # float and int first: the numbers.Real check alone takes about 0.4 us, and
+    # RandomStream.exponential reaches this once a draw
     if not (isinstance(lam, (float, int, numbers.Real)) and lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"{name} must be positive and finite, got {lam!r}")
     return float(lam)

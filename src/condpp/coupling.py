@@ -16,7 +16,8 @@ bit.
 The engine runs all replicas of a battery as one numpy batch, one event a
 step.  Each replica reads its own RandomStream, derived from its estimate's
 seed and its replica number and seeded together with the rest of its batch,
-in a fixed order (event type, then a location or a victim), and draws
+in a fixed order (event type, then a location or a victim), places an
+immigrant with GroundSpace.points from its `dimension` uniforms, and draws
 victims from its own live list of chain-membership bitmasks, kept in
 swap-remove order, so its path does not depend on the batch it runs in.
 Each replica integrates a contrast of a test function:
@@ -48,10 +49,10 @@ import numpy as np
 from .bounds import _check_lam, _check_m, _upper_tail_sum, poisson_tail_ratio
 from .estimates import MCEstimate
 from .groundspace import (
-    Configuration, GroundSpace, RandomStream, _Drawn, derive_stream, derive_streams, is_unit_line,
+    Configuration, GroundSpace, RandomStream, derive_stream, derive_streams, is_unit_line,
 )
 from .metrics import _d1_locs, _lex, _line_matrix, _padded_by_size
-from .simulate import _conditional_count, conditional_count_pmf, sample_conditional_poisson
+from .simulate import conditional_count_pmf, sample_conditional_poisson
 
 __all__ = [
     "TestFunction",
@@ -352,7 +353,7 @@ def _run_batch(
         if keep_locs and imm.any():
             into = np.flatnonzero(imm)
             drawn = U[here[into, None], pos[into, None] + lead + 1 + np.arange(dim)]
-            loc[here[into], nlive[into]] = space.sample(_Drawn(drawn.ravel()), into.size)
+            loc[here[into], nlive[into]] = space.points(drawn)
         gone = np.flatnonzero(new == 0)
         if gone.size:
             row, last = here[gone], nlive[gone] - 1
@@ -584,22 +585,16 @@ def estimate_pi_f(
     """Plain Monte Carlo of pi(f) = E f(Po^(m)) from exact draws.
 
     Replica r draws from stream (seed, stream_offset + r); derive_streams
-    seeds the streams of every _BATCH_ROWS replicas together.  A count
-    functional reads only each draw's count: the locations come after it in
-    the replica's own stream, so leaving them undrawn changes no value.
+    seeds the streams of every _BATCH_ROWS replicas together.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    if f.needs_locations:
-        value = lambda stream: f(sample_conditional_poisson(space, m, stream))
-    else:
-        value = lambda stream: f.from_count(_conditional_count(space, m, stream))
     vals = np.empty(replicas)
     for lo in range(0, replicas, _BATCH_ROWS):
         hi = min(lo + _BATCH_ROWS, replicas)
         streams = derive_streams(seed, range(stream_offset + lo, stream_offset + hi))
         for i, stream in enumerate(streams, lo):
-            vals[i] = value(stream)
+            vals[i] = f(sample_conditional_poisson(space, m, stream))
     return MCEstimate.from_sample(vals, seed)
 
 

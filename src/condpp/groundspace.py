@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -76,9 +75,9 @@ class RandomStream:
         return self._gen.random(n)
 
     def exponential(self, rate: float) -> float:
-        """Exponential holding time with the given rate; one uniform consumed."""
-        if rate <= 0.0:
-            raise ValueError("rate must be positive")
+        """Exponential holding time with the given rate, positive and finite;
+        one uniform consumed."""
+        rate = _check_lam(rate, "rate")
         # -log1p(-u) maps u in [0,1) to (0, inf] without ever taking log(0).
         return -math.log1p(-self.uniform()) / rate
 
@@ -204,13 +203,11 @@ class GroundSpace:
         total_mass: Lambda, the total mass of the intensity measure (> 0).
         metric: d0(x, y) for single points, valued in [0, 1].
         pairwise: vectorized d0 on (n, dim) x (m, dim) arrays -> (n, m).
-        sampler: (stream, size) -> (size, dim) array of points drawn from the
-            normalized intensity measure.  It reads `dimension` uniforms a
-            point with one stream.uniforms(size * dimension) call, point i
-            from the i-th run of `dimension` of them.  The chain and the
-            coupled engine read location uniforms ahead and hand a sampler
-            exactly that many; one that asks for another number raises
-            ValueError.
+        place: maps an (n, dim) array of uniforms in [0, 1) to n points,
+            row i to point i, so that a row of iid uniforms lands as a draw
+            from the normalized intensity measure.  Every point placed
+            (sample, the chain, the coupled engine) goes through points,
+            `dimension` uniforms a point.
         contains: membership test for a single point.
         label: short human-readable name used in artifacts.
     """
@@ -219,7 +216,7 @@ class GroundSpace:
     total_mass: float
     metric: Callable[[np.ndarray, np.ndarray], float]
     pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sampler: Callable[[RandomStream, int], np.ndarray]
+    place: Callable[[np.ndarray], np.ndarray]
     contains: Callable[[np.ndarray], bool]
     label: str = "custom"
 
@@ -257,25 +254,18 @@ class GroundSpace:
             raise ValueError(f"metric returned {d}, outside [0, 1]")
         return min(d, 1.0)
 
+    def points(self, u: np.ndarray) -> np.ndarray:
+        """The points place makes of the uniforms u, read `dimension` a point:
+        an (n, dimension) float array, point i from the i-th run of them."""
+        u = u.reshape(-1, self.dimension)
+        return np.asarray(self.place(u), dtype=float).reshape(u.shape)
+
     def sample(self, stream: RandomStream, size: int) -> np.ndarray:
         """size points from the normalized intensity measure."""
-        pts = self.sampler(stream, size)
-        return np.asarray(pts, dtype=float).reshape(size, self.dimension)
+        return self.points(stream.uniforms(size * self.dimension))
 
     def sample_one(self, stream: RandomStream) -> np.ndarray:
         return self.sample(stream, 1)[0]
-
-
-@dataclass(frozen=True)
-class _Drawn:
-    """Stream stand-in that hands uniforms already read to a sampler."""
-
-    u: np.ndarray
-
-    def uniforms(self, n: int) -> np.ndarray:
-        if n != self.u.size:
-            raise ValueError("the sampler must read `dimension` uniforms a point")
-        return self.u
 
 
 def _truncated_euclidean(x: np.ndarray, y: np.ndarray) -> float:
@@ -287,11 +277,11 @@ def _truncated_euclidean_pairwise(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, np.sqrt(np.sum(diff * diff, axis=2)))
 
 
-# Canonical-space pieces live at module level (wrapped with partial) so that
-# GroundSpace instances pickle across process pools.
+# Canonical-space pieces live at module level so that GroundSpace instances
+# pickle across process pools.
 
-def _cube_sampler(dimension: int, stream: RandomStream, size: int) -> np.ndarray:
-    return stream.uniforms(size * dimension).reshape(size, dimension)
+def _cube_place(u: np.ndarray) -> np.ndarray:
+    return u
 
 
 def _cube_contains(x: np.ndarray) -> bool:
@@ -319,7 +309,7 @@ def unit_cube(total_mass: float, dimension: int = 1) -> GroundSpace:
         total_mass=float(total_mass),
         metric=_truncated_euclidean,
         pairwise=_truncated_euclidean_pairwise,
-        sampler=partial(_cube_sampler, dimension),
+        place=_cube_place,
         contains=_cube_contains,
         label=f"unit_cube_{dimension}d",
     )

@@ -46,9 +46,6 @@ def _d1_locs(a: np.ndarray, b: np.ndarray, space: GroundSpace) -> float:
         return 1.0
     if is_unit_line(space):
         return float(_line_rows(a.T, b.T, np.array([n]))[0, 0])
-    if m == 1:
-        w = float(space.pairwise(a, b).min())
-        return (w + (n - 1)) / n
     costs = space.pairwise(a, b)
     # Looked up on transport at each call: its first solve imports
     # scipy.optimize and rebinds the name to scipy's solver.

@@ -13,15 +13,16 @@ either the location draws (immigration) or one victim-index uniform (death).
 The type uniform is consumed even when the floor forces immigration.  The
 chain reads its uniforms through one iterator over blocks of the stream,
 steps the stream back over what it did not use, and places all its
-immigrants with one sampler call after the run, so the stream and the
-locations are those of reading one event at a time.  A trajectory keeps its
-events as columns (times, one code per event, the immigrants' places) and
-builds the event tuples only when they are read.
+immigrants with one GroundSpace.points call after the run, so the stream
+and the locations are those of reading one event at a time.  A trajectory
+keeps its events as columns (times, one code per event, the immigrants'
+places) and builds the event tuples only when they are read.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .bounds import (
     _check_lam, _check_m, _upper_tail_sum, binomial_tail, poisson_pmf, poisson_tail,
     poisson_tail_ratio,
 )
-from .groundspace import Configuration, GroundSpace, RandomStream, _Drawn
+from .groundspace import Configuration, GroundSpace, RandomStream
 
 __all__ = [
     "BudgetError",
@@ -127,13 +128,31 @@ def count_tv_distance(counts, law: CountPMF) -> float:
     return 0.5 * (np.abs(freq - probs).sum() + beyond)
 
 
-def _poisson_count(lam: float, stream: RandomStream) -> int:
-    """Poisson(lam) count by CDF inversion; consumes exactly one uniform."""
+@functools.cache
+def _count_law(lam: float, m: int) -> tuple[float, float, int]:
+    """lam, exp(-lam) and the inversion walk's cap for Po^(m) counts, once per
+    (lam, m).  Refuses (BudgetError) a lam whose exp(-lam) underflows, and an
+    acceptance probability P(Po(lam) >= m) below _MIN_ACCEPTANCE; a refusal
+    is not cached, so it recurs on every call."""
+    p0 = math.exp(-lam)
+    if p0 == 0.0:
+        raise BudgetError("lam too large for count inversion")
+    if m > 0:
+        accept = poisson_tail(lam, m)
+        if accept < _MIN_ACCEPTANCE:
+            raise BudgetError(
+                f"acceptance probability {accept:.3g} below {_MIN_ACCEPTANCE:.0e}"
+            )
+    return lam, p0, int(lam + _COUNT_WALK_SLACK * math.sqrt(lam) + _COUNT_WALK_SLACK)
+
+
+def _poisson_count(law: tuple[float, float, int], stream: RandomStream) -> int:
+    """Poisson(lam) count by CDF inversion, law = _count_law(lam, m); consumes
+    exactly one uniform."""
     u = stream.uniform()
-    p = math.exp(-lam)
+    lam, p, cap = law
     cdf = p
     j = 0
-    cap = int(lam + _COUNT_WALK_SLACK * math.sqrt(lam) + _COUNT_WALK_SLACK)
     while u >= cdf:
         j += 1
         p *= lam / j
@@ -144,38 +163,10 @@ def _poisson_count(lam: float, stream: RandomStream) -> int:
     return j
 
 
-def _check_space_lam(space: GroundSpace) -> float:
-    lam = space.total_mass
-    if math.exp(-lam) == 0.0:
-        raise BudgetError("lam too large for count inversion")
-    return lam
-
-
 def sample_poisson_process(space: GroundSpace, stream: RandomStream) -> Configuration:
     """One draw of the (unconditional) Poisson process on the space."""
-    lam = _check_space_lam(space)
-    n = _poisson_count(lam, stream)
+    n = _poisson_count(_count_law(space.total_mass, 0), stream)
     return Configuration(space.sample(stream, n))
-
-
-def _conditional_count(space: GroundSpace, m: int, stream: RandomStream) -> int:
-    """The count of an exact Po^(m) draw, read from the draw's first uniforms.
-
-    Counts alone are resampled until acceptance; each rejected attempt
-    consumes exactly one uniform.
-    """
-    _check_m(m)
-    lam = _check_space_lam(space)
-    if m > 0:
-        accept = poisson_tail(lam, m)
-        if accept < _MIN_ACCEPTANCE:
-            raise BudgetError(
-                f"acceptance probability {accept:.3g} below {_MIN_ACCEPTANCE:.0e}"
-            )
-    while True:
-        n = _poisson_count(lam, stream)
-        if n >= m:
-            return n
 
 
 def sample_conditional_poisson(
@@ -183,11 +174,16 @@ def sample_conditional_poisson(
 ) -> Configuration:
     """Exact Po^(m) draw: reject counts below m, then place locations.
 
-    Locations are independent of the count, so drawing them only for the
-    accepted count (after _conditional_count) leaves the law unchanged.
+    Counts alone are resampled until acceptance, each rejected attempt
+    consuming exactly one uniform.  Locations are independent of the count,
+    so drawing them only for the accepted count leaves the law unchanged.
     """
-    n = _conditional_count(space, m, stream)
-    return Configuration(space.sample(stream, n))
+    m = _check_m(m)
+    law = _count_law(space.total_mass, m)
+    while True:
+        n = _poisson_count(law, stream)
+        if n >= m:
+            return Configuration(space.sample(stream, n))
 
 
 def bernoulli_site_configuration(n: int, fired: np.ndarray) -> Configuration:
@@ -394,5 +390,5 @@ def simulate_cid_chain(
     # Each event read two uniforms and then dim or one; the last holding
     # uniform ended the run.
     stream._unread(sum(read) - (3 * len(times) + (dim - 1) * arrivals + 1))
-    places = space.sample(_Drawn(np.array(drawn)), arrivals)
+    places = space.points(np.array(drawn))
     return Trajectory(initial, horizon, int(m), tuple(times), tuple(codes), places)

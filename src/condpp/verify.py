@@ -219,11 +219,13 @@ def verify_delta_bounds(
 
     Uniform rows draw random scenarios; non-uniform rows pin the size of xi
     at m + offset.  Scenarios are independent work units with derived
-    streams, so results do not depend on the worker count.  lam, m and the
-    grid are checked before any unit runs; an empty grid is refused.
+    streams, so results do not depend on the worker count.  lam, m, replicas
+    and the grid are checked before any unit runs; an empty grid is refused.
     """
     if m < 1:
         raise ValueError("delta-bounds battery requires m >= 1")
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas")
     bounds = compute_stein_bounds(lam, m)
     n_scenarios = _check_m(n_scenarios, "n_scenarios")
     for off in nonuniform_offsets:

@@ -48,6 +48,8 @@ class TestBounds:
             bernoulli_bound(10, 0.0)
         with pytest.raises(ValueError):
             bernoulli_bound(10, 1.0)
+        with pytest.raises(ValueError, match="n must be nonnegative and an integer"):
+            bernoulli_bound(2.5, 0.1)
 
     def test_small_p_limit_controlled_by_conditioning(self):
         # as p -> 0 at fixed n the prefactor ~ 1/(np) blows up; the bound

@@ -145,6 +145,10 @@ class TestRandomStream:
         s.uniforms(4)
         assert s.exponential(2.0) == 1.111844198890387
         assert s.integer(10) == 5
+        for rate in (0.0, -1.0, math.nan, math.inf):  # refused before the draw
+            with pytest.raises(ValueError, match="rate must be positive and finite"):
+                s.exponential(rate)
+        assert s.uniform() == GOLDEN_42_7[6]
 
     def test_exponential_mean(self):
         s = derive_stream(5, 2)
@@ -258,15 +262,15 @@ class TestGroundSpace:
 
     def test_sampler_lands_in_space(self):
         space = unit_cube(2.0, dimension=3)
-        pts = space.sampler(derive_stream(0, 0), 500)
+        pts = space.sample(derive_stream(0, 0), 500)
         assert pts.shape == (500, 3)
         assert np.all(pts >= 0.0) and np.all(pts < 1.0)
 
     def test_pairwise_matches_scalar_metric(self):
         space = unit_cube(2.0, dimension=2)
         s = derive_stream(1, 0)
-        xs = space.sampler(s, 6)
-        ys = space.sampler(s, 4)
+        xs = space.sample(s, 6)
+        ys = space.sample(s, 4)
         mat = space.pairwise(xs, ys)
         for i in range(6):
             for j in range(4):
@@ -275,7 +279,7 @@ class TestGroundSpace:
     def test_triangle_inequality(self):
         space = unit_cube(1.0, dimension=2)
         s = derive_stream(77, 0)
-        pts = space.sampler(s, 3000).reshape(1000, 3, 2)
+        pts = space.sample(s, 3000).reshape(1000, 3, 2)
         for x, y, z in pts:
             assert space.distance(x, z) <= (
                 space.distance(x, y) + space.distance(y, z) + 1e-12

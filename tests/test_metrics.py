@@ -38,7 +38,7 @@ def line_sample(stream, sizes):
     the grid {0, 1/4, 1/2, 3/4}, so coordinates repeat within and across."""
     out = []
     for k, size in enumerate(sizes):
-        locs = SPACE.sampler(stream, size)
+        locs = SPACE.sample(stream, size)
         if k % 2:
             locs = np.floor(4 * locs) / 4
         out.append(configuration_from_locations(locs, dimension=1))
@@ -57,7 +57,7 @@ def random_config(stream, space, max_size=7, min_size=0):
     size = min_size + stream.integer(max_size - min_size + 1)
     if size == 0:
         return empty_configuration(space.dimension)
-    return configuration_from_locations(space.sampler(stream, size))
+    return configuration_from_locations(space.sample(stream, size))
 
 
 class TestD1Examples:
@@ -181,8 +181,8 @@ class TestD1Axioms:
         stream = derive_stream(300, 5)
         for _ in range(300):
             size = 1 + stream.integer(6)
-            a = configuration_from_locations(SPACE.sampler(stream, size))
-            b = configuration_from_locations(SPACE.sampler(stream, size))
+            a = configuration_from_locations(SPACE.sample(stream, size))
+            b = configuration_from_locations(SPACE.sample(stream, size))
             assert d1_bar(a, b, SPACE) == d1_bar(b, a, SPACE)
             c = random_config(stream, SPACE, max_size=6)
             d = random_config(stream, SPACE, max_size=6)
@@ -195,8 +195,8 @@ class TestD1Axioms:
         stream, rng = derive_stream(19, 0), np.random.default_rng(19)
         for _ in range(400):
             m = 2 + stream.integer(5)
-            a = space.sampler(stream, m)
-            b = space.sampler(stream, m + stream.integer(4))
+            a = space.sample(stream, m)
+            b = space.sample(stream, m + stream.integer(4))
             want = d1_bar(configuration_from_locations(a), configuration_from_locations(b), space)
             for _ in range(3):
                 pa = configuration_from_locations(a[rng.permutation(len(a))])
@@ -323,7 +323,7 @@ class TestPairwiseMatrix:
             total_mass=3.0,
             metric=_doubled_metric,
             pairwise=_doubled_pairwise,
-            sampler=SPACE.sampler,
+            place=SPACE.place,
             contains=SPACE.contains,
         )
         assert is_unit_line(SPACE) and not is_unit_line(doubled)

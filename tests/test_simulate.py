@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from condpp import simulate
+from condpp.bounds import poisson_tail
 from condpp.coupling import reference_test_functions, run_coupled_chains
 from condpp.groundspace import (
     Configuration,
@@ -38,6 +40,7 @@ from oracles import (
     conditional_count_expectation_mp,
     conditional_count_mean_mp,
     conditional_count_pmf_mp,
+    coupled_chain_events,
     transient_count_law,
 )
 
@@ -162,8 +165,23 @@ class TestConditionalSampler:
     def test_hopeless_acceptance_budget(self):
         # P(Po(0.1) >= 30) is astronomically small; must refuse, not spin
         space = unit_interval(0.1)
-        with pytest.raises(BudgetError):
-            sample_conditional_poisson(space, 30, derive_stream(0, 0))
+        for _ in range(2):  # a refusal is not cached: every call refuses
+            with pytest.raises(BudgetError):
+                sample_conditional_poisson(space, 30, derive_stream(0, 0))
+
+    def test_count_law_is_checked_once_per_lam_and_m(self, monkeypatch):
+        tails = []
+
+        def tail(lam, m):
+            tails.append((lam, m))
+            return poisson_tail(lam, m)
+
+        monkeypatch.setattr(simulate, "poisson_tail", tail)
+        simulate._count_law.cache_clear()
+        stream = derive_stream(31, 0)
+        for m in (2, 2, 3, 2, 3):
+            assert sample_conditional_poisson(unit_interval(2.5), m, stream).size >= m
+        assert tails == [(2.5, 2), (2.5, 3)]
 
     def test_locations_uniform_given_count(self):
         space = unit_interval(1.0)
@@ -249,11 +267,6 @@ def _matches_oracle(initial, m, horizon, space, seed):
     return traj
 
 
-def _two_draw_sampler(stream, size):
-    # Reads two uniforms a point, breaking the one-point-per-`dimension` rule.
-    return stream.uniforms(2 * size)[::2].reshape(size, 1)
-
-
 class TestTrajectory:
     def _run(self, seed=0, lam=3.0, m=1, horizon=6.0, init=3):
         space = unit_interval(lam)
@@ -328,16 +341,30 @@ class TestTrajectory:
                 at += 1
         assert at > 3 * _BLOCK and straddles > 0
 
-    def test_sampler_must_read_dimension_uniforms_a_point(self):
-        space = dataclasses.replace(unit_interval(2.0), sampler=_two_draw_sampler)
-        xi = configuration_from_locations([[0.5]])
-        with pytest.raises(ValueError, match="uniforms a point"):
-            simulate_cid_chain(xi, 0, 5.0, space, derive_stream(3, 0))
-        with pytest.raises(ValueError, match="uniforms a point"):  # a matching f places points
-            run_coupled_chains(
-                [xi, xi], [0, 0], space, derive_stream(3, 0), (1.0, -1.0),
-                reference_test_functions(space)[2], horizon=5.0,
-            )
+    def test_a_placement_other_than_the_identity_matches_the_oracles(self):
+        # The chain and the coupled engine place every immigrant through
+        # GroundSpace.points, as the one-draw-at-a-time oracles do through sample.
+        space = dataclasses.replace(unit_interval(3.0), place=lambda u: u * u)
+        xi = configuration_from_locations([[0.5], [0.25]])
+        traj = _matches_oracle(xi, 1, 20.0, space, 94)
+        line = simulate_cid_chain(xi, 1, 20.0, unit_interval(3.0), derive_stream(94, 0))
+        assert traj.times == line.times and traj.places.size
+        np.testing.assert_array_equal(traj.places, line.places * line.places)
+        f = reference_test_functions(space)[2]
+        start = configuration_from_locations([[0.5], [0.25], [0.9], [0.75]])
+        initial = [start, empty_configuration(1)]
+        run = lambda space, stream: run_coupled_chains(
+            initial, [0, 0], space, stream, (1.0, -1.0), f, horizon=20.0
+        )
+        stream, twin = derive_stream(95, 0), derive_stream(95, 0)
+        got = run(space, stream)
+        want, _ = coupled_chain_events(
+            initial, [0, 0], space.total_mass, twin, space.sample, (1.0, -1.0),
+            f.from_locations, horizon=20.0,
+        )
+        assert dataclasses.astuple(got) == want
+        assert stream.uniform() == twin.uniform()
+        assert got.integral != run(unit_interval(3.0), derive_stream(95, 0)).integral
 
     @pytest.mark.parametrize("dim,seed", [(1, 14), (2, 15)])
     def test_configuration_at_matches_a_plain_replay(self, dim, seed):

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from condpp import verify
@@ -121,6 +123,17 @@ class TestDeltaBoundsBattery:
         monkeypatch.setattr(verify, "estimate_delta_h", _must_not_run)
         with pytest.raises(ValueError, match="scenario"):
             verify.verify_delta_bounds(lam=3.0, m=1, n_scenarios=0, nonuniform_offsets=())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_replica_rejected_before_any_run(self, monkeypatch, workers):
+        # no unit draws its xi, and no worker pool starts
+        monkeypatch.setattr(verify, "sample_conditional_poisson", _must_not_run)
+        monkeypatch.setattr(verify, "estimate_delta_h", _must_not_run)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _must_not_run)
+        with pytest.raises(ValueError, match="2 replicas"):
+            verify.verify_delta_bounds(
+                lam=3.0, m=1, n_scenarios=3, replicas=1, workers=workers
+            )
 
     def test_negative_offset_rejected_before_any_unit_runs(self, monkeypatch):
         monkeypatch.setattr(verify, "estimate_delta_h", _must_not_run)
