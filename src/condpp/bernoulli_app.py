@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bounds import _check_m
+from .bounds import _check_m, _check_replicas
 from .estimates import MCEstimate
 from .groundspace import Configuration, GroundSpace, RandomStream, derive_stream, unit_interval
 from .metrics import D2Estimate, d2_bar_empirical
@@ -101,8 +101,7 @@ def self_distance_calibration(
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples per side")
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
+    replicas = _check_replicas(replicas)
     vals = []
     for r in range(replicas):
         ps = _draw_sample(law, n_samples, derive_stream(seed, 2 * r))

@@ -62,6 +62,15 @@ def _check_m(m: int, name: str = "m") -> int:
     return int(m)
 
 
+def _check_replicas(replicas: int, minimum: int = 2) -> int:
+    """replicas as an int; the one replica-count rule: a nonnegative integer
+    (as _check_m has it) of at least minimum, 2 for a standard error."""
+    replicas = _check_m(replicas, "replicas")
+    if replicas < minimum:
+        raise ValueError(f"need at least {minimum} replicas")
+    return replicas
+
+
 def poisson_pmf(lam: float, j: int) -> float:
     """P(Po(lam) = j), computed in log space."""
     lam = _check_lam(lam)

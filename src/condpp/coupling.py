@@ -1,25 +1,28 @@
 """Synchronized couplings of conditional immigration-death chains.
 
-One union-race engine drives every estimator: K chains share a single event
-clock whose rate is Lambda plus the number of identities alive in at least
-one chain.  Immigrations are shared (one fresh identity, one location, added
-to every chain); each live identity carries one unit-rate death clock, and
-when it fires the identity is removed from every chain that holds it and is
-not pinned at its floor.  Identities retained only by floored chains simply
-keep their memoryless clock.  Each chain in isolation is then an exact
-conditional immigration-death chain, coalescence (identical identity sets)
-is absorbing, and chains ordered by inclusion stay ordered.  The tests check
-these pathwise properties on a scalar union race that runs one event at a
-time (tests/oracles.coupled_chain_events), which the engine matches bit for
-bit.
+One union-race engine drives every estimator.  K chains start from
+configurations that share points by multiset intersection, and each point
+of their union is held once, as a bitmask of the chains that hold it.  The
+chains share a single event clock whose rate is Lambda plus the number of
+points held by at least one chain.  An immigration is shared: one new
+point, at one location, with every chain's bit set.  Each live point
+carries one unit-rate death clock; when it fires, the point leaves every
+chain that holds it and is not pinned at its floor, and a point whose mask
+empties leaves the live list.  A point kept only by floored chains simply
+keeps its memoryless clock.  Each chain in isolation is then an exact
+conditional immigration-death chain, coalescence (every live point held by
+every chain) is absorbing, and chains ordered by inclusion stay ordered.
+The tests check these pathwise properties on a scalar union race that runs
+one event at a time (tests/oracles.coupled_chain_events), which the engine
+matches bit for bit.
 
 The engine runs all replicas of a battery as one numpy batch, one event a
-step.  Each replica reads its own RandomStream, derived from its estimate's
-seed and its replica number and seeded together with the rest of its batch,
-in a fixed order (event type, then a location or a victim), places an
-immigrant with GroundSpace.points from its `dimension` uniforms, and draws
-victims from its own live list of chain-membership bitmasks, kept in
-swap-remove order, so its path does not depend on the batch it runs in.
+step.  Each replica reads its own stream (seed, replica number), a row of
+the one StreamRows its batch seeds, in a fixed order (event type, then a
+location or a victim).  It places an immigrant with GroundSpace.points from
+its `dimension` uniforms, and draws victims from its own live list of
+chain-membership bitmasks, kept in swap-remove order, so its path does not
+depend on the batch it runs in.
 Each replica integrates a contrast of a test function:
   delta_h      -mean int f(Z_{xi+a}) - f(Z_xi) dt            (2 chains)
   delta2_h     -mean int f(Z_{xi+a+b}) - f(Z_{xi+a}) - ...   (4 chains)
@@ -28,10 +31,12 @@ over the jump chain: a state left at event rate q adds its contrast times
 1/q, the mean of its holding time given the jump chain, in place of the
 contrast times a drawn holding time.  This discrete-time conversion keeps
 the mean, does not raise the variance and draws no holding times.
-run_coupled_chains is a batch of one that reads on from the caller's
-stream and draws a holding time before each event, so its elapsed and
-coalescence times are those of the path.  Runs stop at coalescence, where
-the contrast vanishes identically, or run to a horizon when given one.
+run_coupled_chains is a batch of one, on a one-row StreamRows standing
+where the caller's stream stands, and draws a holding time before each
+event, so its elapsed and coalescence times are those of the path; the
+caller's stream then stands after the run's last draw.  Runs stop at
+coalescence, where the contrast vanishes identically, or run to a horizon
+when given one.
 Every estimator honours max_events: replicas hitting the event cap are
 flagged and inflated conservatively, and an estimate is refused when every
 replica hits it.
@@ -46,10 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_lam, _check_m, _upper_tail_sum, poisson_tail_ratio
+from .bounds import _check_lam, _check_m, _check_replicas, _upper_tail_sum, poisson_tail_ratio
 from .estimates import MCEstimate
 from .groundspace import (
-    Configuration, GroundSpace, RandomStream, derive_stream, derive_streams, is_unit_line,
+    Configuration, GroundSpace, RandomStream, RowReader, StreamRows, derive_stream, is_unit_line,
 )
 from .metrics import _d1_locs, _lex, _line_matrix, _padded_by_size
 from .simulate import conditional_count_pmf, sample_conditional_poisson
@@ -75,8 +80,8 @@ __all__ = [
 
 DEFAULT_EVENT_CAP = 10_000
 _BATCH_ROWS = 4096
-# Uniforms a replica's stream is read ahead by at a time, at the least.
-_READ_AHEAD = 64
+# Uniforms every replica's stream is read ahead by at first.
+_READ_AHEAD = 16
 
 # Count-based test functions are Lipschitz-checked on this prefix.
 _COUNT_CHECK_UPTO = 1000
@@ -241,9 +246,11 @@ def _row(parts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_batch(
-    starts, streams, floors, space, coefficients, f, *, horizon=None, timed=False, max_events,
+    starts, rows, floors, space, coefficients, f, *, first=None, horizon=None, timed=False,
+    max_events,
 ):
-    """The engine: row r runs from starts[r] on streams[r], all rows in step.
+    """The engine: row r runs from starts[r] on row r of the StreamRows rows,
+    all rows in step.
 
     A start is a row's (chain masks, locations) as _start or _row give them;
     consecutive rows that share one start object are filled together.  Rows
@@ -252,34 +259,38 @@ def _run_batch(
     for a victim.  Untimed, it adds phi/q to the integral and 1/q to the
     elapsed time, the mean holding time given the jump chain; timed (which
     a horizon needs), it first draws its holding time from one uniform and
-    integrates phi over it.  Each row's stream is read ahead in
-    blocks, a first block of _READ_AHEAD and then refills as wide as the
-    block already held; a batch of one steps its stream back over the unread
-    rest, so the stream stands after the run's last draw.  Locations are
-    kept only for a location functional (one from_rows call per chain that
-    changed), which sees points in live-list order.  Returns per-row integral,
-    elapsed, events, coalescence time (NaN if none), capped and final counts.
+    integrates phi over it.  first is (block, used): each row's uniforms
+    already read and how many of them its start drew; by default a fresh
+    block of _READ_AHEAD, none drawn.  Refills read every live row on in
+    one StreamRows read, at least as wide as the block already held, and
+    only at the steps where a row could next run out.  A stopped row keeps its place, frozen,
+    until at most half the rows are live; its outputs are those of its stop
+    step, and its chains see no further functional evaluation.  Locations
+    are kept only for a location functional (one from_rows call per chain
+    that changed), which sees points in live-list order.  Returns per-row
+    integral, elapsed, events, coalescence time (NaN if none), capped, final
+    counts and uniforms used.
     """
-    k, rows, dim, lam = len(floors), len(starts), space.dimension, space.total_mass
+    k, n, dim, lam = len(floors), len(starts), space.dimension, space.total_mass
     full, bits = (1 << k) - 1, np.left_shift(1, np.arange(k, dtype=np.int64))
     floor = np.asarray(floors)[:, None]
     coef = np.zeros((k, 1)) if coefficients is None else np.asarray(coefficients, float)[:, None]
     use_f = f is not None and bool(coef.any())
     by_count, keep_locs = use_f and not f.needs_locations, use_f and f.needs_locations
-    firsts = [i for i in range(rows) if not i or starts[i] is not starts[i - 1]]
-    # A row per quantity, so stopped rows leave by one take per array.  Floats:
-    # t, integral, phi, tau, f of each chain.  Ints: stream position, live
+    firsts = [i for i in range(n) if not i or starts[i] is not starts[i - 1]]
+    # A row per quantity, so compaction is one take per array.  Floats: t,
+    # integral, phi, tau, f of each chain.  Ints: stream position, live
     # points, row number, row in the wide arrays U, mask and loc (which shed
-    # stopped rows only when they widen), count of each chain.
-    F, I = np.zeros((4 + k, rows)), np.zeros((4 + k, rows), dtype=np.int64)
+    # compacted rows only when they widen), count of each chain.
+    F, I = np.zeros((4 + k, n)), np.zeros((4 + k, n), dtype=np.int64)
     views = lambda: (*F[:4], F[4:], *I[:4], I[4:])
     t, integral, phi, tau, fvals, pos, nlive, row_id, here, counts = views()
     tau[:] = np.nan
-    U = np.stack([s.uniforms(_READ_AHEAD) for s in streams])
-    row_id[:] = here[:] = range(rows)
-    mask = np.zeros((rows, max(len(starts[i][0]) for i in firsts) + 8), dtype=np.int64)
+    U, pos[:] = (rows.read(np.arange(n), _READ_AHEAD), 0) if first is None else first
+    row_id[:] = here[:] = range(n)
+    mask = np.zeros((n, max(len(starts[i][0]) for i in firsts) + 8), dtype=np.int64)
     loc = np.zeros(mask.shape + (dim,)) if keep_locs else None
-    for at, end in zip(firsts, firsts[1:] + [rows]):
+    for at, end in zip(firsts, firsts[1:] + [n]):
         masks, locs = starts[at]
         mask[at:end, : len(masks)], nlive[at:end] = masks, len(masks)
         if keep_locs:
@@ -288,6 +299,14 @@ def _run_batch(
     coalesced = lambda: counts.min(axis=0) == nlive
     lead = int(timed)  # a timed event's holding-time uniform comes first
     table, reads = np.empty(0), np.arange(lead + 2)[:, None]
+    # A step adds at most one point, and a row reads at most `need` uniforms
+    # from where it stands: a frozen row, even one a uniform on past its
+    # horizon, reads lead + 2.  So the refill test runs only at `check`.
+    need, check = lead + 1 + max(dim, 1), 0
+    # Per row: whether it is live, an all-ones mask its deaths pass through
+    # and the uniforms a death reads; both are 0 once it stops.
+    live, keeps, death = np.ones(n, bool), np.full(n, -1, np.int64), np.full(n, lead + 2)
+    n_live = n
 
     def refresh(changed: np.ndarray) -> None:  # location functionals, one call per chain
         for c in range(k):
@@ -300,9 +319,9 @@ def _run_batch(
         phi[rows_changed] = (coef * fvals[:, rows_changed]).sum(axis=0)
 
     if keep_locs:
-        refresh(np.full(rows, full))
+        refresh(np.full(n, full))
     out_F, out_I = np.zeros_like(F), np.zeros_like(I)
-    out_events, out_capped = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool)
+    out_events, out_capped = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
     for step in itertools.count():
         if horizon is not None:
             np.copyto(tau, t, where=coalesced() & np.isnan(tau))
@@ -310,42 +329,55 @@ def _run_batch(
             if table.size <= mask.shape[1]:
                 table = np.array([f.from_count(j) for j in range(mask.shape[1] + 1)], dtype=float)
             np.sum(coef * table[counts], axis=0, out=phi)
-        done = hold = coalesced() & (horizon is None)
+        done = hold = coalesced() & live if horizon is None else np.zeros(live.size, bool)
         if step >= max_events:
-            out_capped[row_id] = ~hold
-            done = np.ones_like(hold)
+            out_capped[row_id] = live & ~hold
+            done = live
         else:
-            if pos.max() + lead + 1 + max(dim, 1) > U.shape[1] or nlive.max() >= mask.shape[1]:
-                wider = lambda a: np.concatenate([a[here], np.zeros_like(a[here])], axis=1)
-                U, mask, loc = (a if a is None else wider(a) for a in (U, mask, loc))
-                half = U.shape[1] // 2
-                U[:, half:] = [streams[r].uniforms(half) for r in row_id.tolist()]
-                here[:] = range(here.size)
+            if step == check:
+                top, fill = pos.max() + need, nlive.max()
+                more = max(U.shape[1], top - U.shape[1]) if top > U.shape[1] else 0
+                wider = mask.shape[1] if fill >= mask.shape[1] else 0
+                if more or wider:  # relaid in row order, which drops compacted rows
+                    grow = lambda a, by: np.concatenate(
+                        [a[here], np.zeros((here.size, by) + a.shape[2:], a.dtype)], axis=1
+                    )
+                    U, mask = grow(U, more), grow(mask, wider)
+                    loc = loc if loc is None else grow(loc, wider)
+                    if more:
+                        U[live, -more:] = rows.read(row_id[live], more)
+                    here[:] = range(here.size)
+                check = step + 1 + min((U.shape[1] - top) // need, mask.shape[1] - 1 - fill)
             u = U[here, pos + reads]
             rate = lam + nlive
             dt = -np.log1p(-u[0]) / rate if timed else 1.0 / rate  # untimed: mean hold 1/q
             if horizon is not None:
-                over = ~hold & (t + dt >= horizon)
+                over = live & (t + dt >= horizon)
                 integral[over] += (horizon - t[over]) * phi[over]
                 t[over] = horizon
                 pos += over
-                done = hold | over
+                done = over
         if done.any():
             np.copyto(tau, t, where=hold)
             stopped = np.flatnonzero(done)
             rid = row_id[stopped]
             out_F[:, rid], out_I[:, rid], out_events[rid] = F[:, stopped], I[:, stopped], step
-            if stopped.size == done.size:
+            n_live -= stopped.size
+            if not n_live:
                 break
-            keep = np.flatnonzero(~done)
-            F, I, u, rate, dt = (a.take(keep, -1) for a in (F, I, u, rate, dt))
-            t, integral, phi, tau, fvals, pos, nlive, row_id, here, counts = views()
+            live[stopped], keeps[stopped], death[stopped] = False, 0, 0
+            if 2 * n_live <= live.size:
+                keep = np.flatnonzero(live)
+                F, I, u, rate, dt, live, keeps, death = (
+                    a.take(keep, -1) for a in (F, I, u, rate, dt, live, keeps, death)
+                )
+                t, integral, phi, tau, fvals, pos, nlive, row_id, here, counts = views()
         integral += dt * phi
         t += dt
-        imm = u[lead] * rate < lam
+        imm = (u[lead] * rate < lam) & live
         slot = np.where(imm, nlive, np.minimum(u[lead + 1] * nlive, nlive - 1).astype(np.int64))
         old = mask[here, slot]
-        drop = old & (bits @ (counts > floor))
+        drop = old & (bits @ (counts > floor)) & keeps
         new = np.where(imm, full, old ^ drop)
         mask[here, slot] = new
         counts += imm
@@ -354,19 +386,17 @@ def _run_batch(
             into = np.flatnonzero(imm)
             drawn = U[here[into, None], pos[into, None] + lead + 1 + np.arange(dim)]
             loc[here[into], nlive[into]] = space.points(drawn)
-        gone = np.flatnonzero(new == 0)
+        gone = np.flatnonzero((new == 0) & live)
         if gone.size:
             row, last = here[gone], nlive[gone] - 1
             for a in (mask, loc) if keep_locs else (mask,):
                 a[row, slot[gone]] = a[row, last]
             mask[row, last], nlive[gone] = 0, last
         nlive += imm
-        pos += np.where(imm, lead + 1 + dim, lead + 2)
+        pos += np.where(imm, lead + 1 + dim, death)
         if keep_locs:
             refresh(np.where(imm, full, drop))
-    if rows == 1:
-        streams[0]._unread(U.shape[1] - pos[0])
-    return *out_F[[1, 0]], out_events, out_F[3], out_capped, out_I[4:].T
+    return *out_F[[1, 0]], out_events, out_F[3], out_capped, out_I[4:].T, out_I[0]
 
 
 def run_coupled_chains(
@@ -401,10 +431,11 @@ def run_coupled_chains(
     if coefficients is not None and len(coefficients) != len(initial):
         raise ValueError("need one coefficient per chain")
     run = _run_batch(
-        [_start(initial, floors, space)], [stream], floors, space, coefficients,
+        [_start(initial, floors, space)], StreamRows.of(stream), floors, space, coefficients,
         test_function, horizon=horizon, timed=True, max_events=max_events,
     )
-    integral, elapsed, events, tau, capped, counts = (a[0] for a in run)
+    integral, elapsed, events, tau, capped, counts, used = (a[0] for a in run)
+    stream._skip(used)
     return CoupledRun(
         float(integral), float(elapsed), int(events), None if np.isnan(tau) else float(tau),
         bool(capped), tuple(counts.tolist()),
@@ -419,10 +450,11 @@ def _run_replicas(
 
     Each job is an (initial, seed, replicas) triple, and all jobs share the
     floors, coefficients, f and event cap.  Replica r of a job reads the
-    derived stream (seed, r); derive_streams seeds a job's streams of a
-    batch together.  initial(r, stream) returns replica r's start row, as
-    _row builds it, and may draw from the stream before the run reads it; a
-    job whose replicas share one start returns that one row object for each,
+    derived stream (seed, r), as a row of one StreamRows per batch, which
+    reads every row's first _READ_AHEAD uniforms at once.  initial(r, reader)
+    returns replica r's start row, as _row builds it, and may draw from the
+    reader, pointed at the replica's row, before the run reads on; a job
+    whose replicas share one start returns that one row object for each,
     which the engine fills once.  The jobs' rows run end to end in batches
     of at most _BATCH_ROWS rows, which bounds the engine's per-row arrays
     (read-ahead uniforms, chain masks, locations); every row reads only its
@@ -431,19 +463,24 @@ def _run_replicas(
     capped flag and the coalescence time (NaN for capped replicas, which
     never coalesce).
     """
-    if any(replicas < 2 for _, _, replicas in jobs):
-        raise ValueError("need at least 2 replicas")
-    bounds = list(itertools.accumulate((replicas for _, _, replicas in jobs), initial=0))
+    counts = [_check_replicas(replicas) for _, _, replicas in jobs]
+    bounds = list(itertools.accumulate(counts, initial=0))
     spans = list(zip(bounds, bounds[1:]))
     parts = []
     for lo in range(0, bounds[-1], _BATCH_ROWS):
-        starts, streams = [], []
-        for (initial, seed, _), (first, end) in zip(jobs, spans):
-            keys = range(max(lo, first) - first, min(lo + _BATCH_ROWS, end) - first)
-            batch = derive_streams(seed, keys)
-            streams += batch
-            starts += [initial(r, stream) for r, stream in zip(keys, batch)]
-        run = _run_batch(starts, streams, floors, space, coefficients, f, max_events=max_events)
+        batch = [
+            (initial, seed, range(max(lo, first) - first, min(lo + _BATCH_ROWS, end) - first))
+            for (initial, seed, _), (first, end) in zip(jobs, spans)
+        ]
+        rows = StreamRows([(seed, keys) for _, seed, keys in batch])
+        block = rows.read(np.arange(len(rows)), _READ_AHEAD)
+        reader = RowReader(rows, block)
+        labels = [(initial, r) for initial, _, keys in batch for r in keys]
+        starts = [initial(r, reader.at(i)) for i, (initial, r) in enumerate(labels)]
+        run = _run_batch(
+            starts, rows, floors, space, coefficients, f, first=(block, reader.used),
+            max_events=max_events,
+        )
         parts.append((run[0], run[4], run[3]))
     whole = [np.concatenate(a) for a in zip(*parts)]
     return [tuple(a[first:end] for a in whole) for first, end in spans]
@@ -485,7 +522,7 @@ def estimate_delta_h(
     alpha = space.point(alpha_location, "alpha_location")
     row = _row([(xi.locations, 0b11), (alpha[None], 0b01)])
     (runs,) = _run_replicas(
-        [(lambda r, stream: row, seed, replicas)], [m, m], (1.0, -1.0), f, space,
+        [(lambda r, reader: row, seed, replicas)], [m, m], (1.0, -1.0), f, space,
         max_events=max_events,
     )
     return _contrast_estimate(runs, span=1.0, seed=seed)
@@ -509,7 +546,7 @@ def estimate_delta2_h(
     # Chains [xi + alpha + beta, xi + alpha, xi + beta, xi].
     row = _row([(xi.locations, 0b1111), (alpha[None], 0b0011), (beta[None], 0b0101)])
     (runs,) = _run_replicas(
-        [(lambda r, stream: row, seed, replicas)], [m, m, m, m], (1.0, -1.0, -1.0, 1.0), f,
+        [(lambda r, reader: row, seed, replicas)], [m, m, m, m], (1.0, -1.0, -1.0, 1.0), f,
         space, max_events=max_events,
     )
     return _contrast_estimate(runs, span=2.0, seed=seed)
@@ -528,12 +565,13 @@ def estimate_h(
 
     The partner starts from a fresh Po^(m) draw each replica, so its f value
     integrates to pi(f) and the coupled contrast integrates to h(xi) without
-    any additive constant; runs stop once the two identity sets merge.
+    any additive constant; runs stop once the two chains hold the same
+    points.  The partner draws from the replica's stream before the run.
     """
     space.check(xi, "xi", m)
 
-    def with_partner(r: int, stream: RandomStream):
-        partner = sample_conditional_poisson(space, m, stream)
+    def with_partner(r: int, reader: RowReader):
+        partner = sample_conditional_poisson(space, m, reader)
         return _row([(xi.locations, 0b01), (partner.locations, 0b10)])
 
     (runs,) = _run_replicas(
@@ -565,13 +603,13 @@ def estimate_coalescence_time(
     alpha = space.point(alpha_location, "alpha_location")
     row = _row([(xi.locations, 0b11), (alpha[None], 0b01)])
     ((_, capped, taus),) = _run_replicas(
-        [(lambda r, stream: row, seed, replicas)], [m, m], None, None, space,
+        [(lambda r, reader: row, seed, replicas)], [m, m], None, None, space,
         max_events=max_events,
     )
     times = taus[~capped]
     if times.size < 2:
         raise RuntimeError("too few completed replicas for a mean")
-    return MCEstimate.from_sample(times, seed, replicas=replicas, capped=int(capped.sum()))
+    return MCEstimate.from_sample(times, seed, replicas=capped.size, capped=int(capped.sum()))
 
 
 def estimate_pi_f(
@@ -584,17 +622,20 @@ def estimate_pi_f(
 ) -> MCEstimate:
     """Plain Monte Carlo of pi(f) = E f(Po^(m)) from exact draws.
 
-    Replica r draws from stream (seed, stream_offset + r); derive_streams
-    seeds the streams of every _BATCH_ROWS replicas together.
+    Replica r draws from stream (seed, stream_offset + r), a row of one
+    StreamRows per _BATCH_ROWS replicas, read as _run_replicas reads it:
+    a first block of _READ_AHEAD uniforms for every row, then on from the
+    row.
     """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
+    replicas = _check_replicas(replicas)
     vals = np.empty(replicas)
     for lo in range(0, replicas, _BATCH_ROWS):
         hi = min(lo + _BATCH_ROWS, replicas)
-        streams = derive_streams(seed, range(stream_offset + lo, stream_offset + hi))
-        for i, stream in enumerate(streams, lo):
-            vals[i] = f(sample_conditional_poisson(space, m, stream))
+        rows = StreamRows([(seed, range(stream_offset + lo, stream_offset + hi))])
+        reader = RowReader(rows, rows.read(np.arange(hi - lo), _READ_AHEAD))
+        vals[lo:hi] = [
+            f(sample_conditional_poisson(space, m, reader.at(i))) for i in range(hi - lo)
+        ]
     return MCEstimate.from_sample(vals, seed)
 
 
@@ -631,11 +672,11 @@ def _stein_job(xi: Configuration, m: int, space: GroundSpace, replicas: int, see
         for i in range(xi.size if xi.size > m else 0)
     ]
 
-    def component(r: int, stream: RandomStream):
+    def component(r: int, reader: RowReader):
         i = r // replicas
         if i:
             return dying[i - 1]
-        return with_alpha, np.concatenate([at, space.sample(stream, 1)])
+        return with_alpha, np.concatenate([at, space.sample(reader, 1)])
 
     return component, seed, replicas * (1 + len(dying))
 
@@ -668,8 +709,7 @@ def stein_residuals(
         raise ValueError("need one seed per configuration")
     for xi in xis:
         space.check(xi, "xi", m)
-    if replicas < 2:  # a job's rows are replicas times its component count
-        raise ValueError("need at least 2 replicas")
+    replicas = _check_replicas(replicas)  # a job's rows are replicas times its component count
     runs = _run_replicas(
         [_stein_job(xi, m, space, replicas, seed) for xi, seed in zip(xis, seeds)],
         [m, m], (1.0, -1.0), f, space, max_events=max_events,
@@ -717,14 +757,15 @@ def p_survival_analytic(lam: float, k: int) -> float:
     return 1.0 - (poisson_tail_ratio(lam, k) - k / lam)
 
 
-def _check_survival(lam: float, k: int, m: int, replicas: int) -> None:
+def _check_survival(lam: float, k: int, m: int, replicas: int) -> int:
     """Refuse what estimate_p_survival cannot run: fewer than 100 replicas,
-    lam, k or m off the bounds rules, or m above k."""
-    if replicas < 100:
-        raise ValueError("need at least 100 replicas")
+    a count, lam, k or m off the bounds rules, or m above k; returns the
+    replica count as an int."""
+    replicas = _check_replicas(replicas, 100)
     if _check_m(m) > _check_m(k, "k"):
         raise ValueError("need 0 <= m <= k")
     _check_lam(lam)
+    return replicas
 
 
 def estimate_p_survival(
@@ -742,7 +783,7 @@ def estimate_p_survival(
     are consumed (transition type, then victim), keeping the draw pattern
     deterministic.
     """
-    _check_survival(lam, k, m, replicas)
+    replicas = _check_survival(lam, k, m, replicas)
     stream = derive_stream(seed, 0)
     counts = np.full(replicas, k + 1, dtype=np.int64)
     survived = np.zeros(replicas, dtype=bool)

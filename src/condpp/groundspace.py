@@ -7,10 +7,10 @@ are the state space of everything downstream.  All
 randomness flows through the streams derive_stream(master_seed, index): numpy
 PCG64 generators seeded through SeedSequence spawn keys, so that every
 simulation in the package is reproducible from (master_seed, index) alone and
-coupled simulations can share streams explicitly.  derive_streams builds the
-streams of many indices at once, hashing their SeedSequence words in one
-numpy pass; each is a plain RandomStream, bit for bit the one derive_stream
-gives.
+coupled simulations can share streams explicitly.  StreamRows holds the
+streams of many indices as uint64 state arrays, seeded in one numpy pass and
+read any rows at once; each row reads bit for bit what the RandomStream
+derive_stream gives would.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .bounds import _check_lam, _check_m
 
 __all__ = [
     "RandomStream",
     "derive_stream",
-    "derive_streams",
+    "StreamRows",
+    "RowReader",
     "GroundSpace",
     "unit_interval",
     "unit_cube",
@@ -48,15 +48,12 @@ class RandomStream:
     freely without changing what a later draw sees.
     """
 
-    def __init__(self, master_seed: int, index: int = 0, *, _hashed=None):
+    def __init__(self, master_seed: int, index: int = 0):
         if master_seed < 0 or index < 0:
             raise ValueError("master_seed and index must be nonnegative")
         self.master_seed = int(master_seed)
         self.index = int(index)
-        if _hashed is None:  # derive_streams hashes the seed words of a batch itself
-            seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.index,))
-        else:
-            seq = _HashedSeed(_hashed)
+        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.index,))
         self._gen = np.random.Generator(np.random.PCG64(seq))
         # The generator's own 64-bit outputs: uniform() makes its double from
         # one of them as Generator.random() does, without numpy's scalar path.
@@ -65,6 +62,10 @@ class RandomStream:
     def _unread(self, n: int) -> None:
         """Step back over the last n uniforms; PCG64 advances modulo 2**128."""
         self._gen.bit_generator.advance(-int(n) % (1 << 128))
+
+    def _skip(self, n: int) -> None:
+        """Step on over the next n uniforms, which a StreamRows.of(self) read."""
+        self._gen.bit_generator.advance(int(n))
 
     def uniform(self) -> float:
         """Next uniform in [0, 1): the top 53 bits of one output, PCG64's next_double."""
@@ -95,8 +96,13 @@ def derive_stream(master_seed: int, index: int) -> RandomStream:
 
 # numpy's SeedSequence: its 32-bit hash constants and a pool of four words.
 _MASK32, _POOL = 0xFFFF_FFFF, 4
+_MASK64 = (1 << 64) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# uint64 operands for the words' shifts and masks: under numpy 1.x a uint64
+# array or scalar combined with a Python int can become float64.
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(b) for b in (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
 
 
 def _words(x: int) -> list[int]:
@@ -153,45 +159,172 @@ def _seed_words(master_seed: int, keys: list[int]) -> np.ndarray:
     for w in entropy[_POOL:]:
         h = _absorb(pool, w, h)
     words = np.empty((len(keys), 4), dtype=np.uint64)
-    widths = [max(1, (k.bit_length() + 31) // 32) for k in keys]
-    for width in set(widths):
-        rows = [i for i, w in enumerate(widths) if w == width]
-        mixed, hk = [np.full(len(rows), p, dtype=np.uint64) for p in pool], h
+    n_words = max(1, (max(keys, default=0).bit_length() + 31) // 32)
+    if n_words > 2:
+        key_words = np.array(
+            [[k >> 32 * j & _MASK32 for j in range(n_words)] for k in keys], np.uint64
+        ).reshape(len(keys), n_words)
+    else:  # keys below 2**64 convert in one numpy call
+        k = np.array(keys, np.uint64)
+        key_words = np.stack([k & _LOW32, k >> _U32], axis=1)[:, :n_words]
+    nonzero = key_words[:, ::-1] != 0
+    widths = np.where(nonzero.any(axis=1), n_words - nonzero.argmax(axis=1), 1)
+    for width in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == width)
+        mixed, hk = [np.full(rows.size, p, dtype=np.uint64) for p in pool], h
         for j in range(width):
-            word = np.array([keys[i] >> 32 * j & _MASK32 for i in rows], dtype=np.uint64)
-            hk = _absorb(mixed, word, hk)
+            hk = _absorb(mixed, key_words[rows, j], hk)
         out, hk = [], _INIT_B
         for j in range(8):
             v, hk = _hashmix(mixed[j % _POOL], hk, _MULT_B)
             out.append(v)
         for j in range(4):
-            words[rows, j] = out[2 * j] | out[2 * j + 1] << np.uint64(32)
+            words[rows, j] = out[2 * j] | out[2 * j + 1] << _U32
     return words
 
 
-class _HashedSeed(ISeedSequence):
-    """Seed words already hashed, handed to PCG64 as its seed sequence."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != self.words.size or np.dtype(dtype) != self.words.dtype:
-            raise ValueError("PCG64 reads four uint64 seed words")
-        return self.words
+# PCG64's 128-bit LCG multiplier, as numpy's pcg64 module defines it.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Uniforms a StreamRows read computes at once, in whole rows (128 rows of a
+# 16-uniform block): it bounds the (rows, n) temporaries, and four times as
+# many ran no faster end to end.
+_READ_UNIFORMS = 2048
+_MULT_WORDS = np.array([_PCG_MULT >> 64], np.uint64), np.array([_PCG_MULT & _MASK64], np.uint64)
+_STEP_WORDS = _MULT_WORDS[0], _MULT_WORDS[1] - _U1  # A - 1
 
 
-def derive_streams(master_seed: int, keys) -> list[RandomStream]:
-    """The streams derive_stream(master_seed, key) of many keys, seeded together.
+def _mul128(ah, al, bh, bl):
+    """(ah:al) * (bh:bl) mod 2**128 on uint64 arrays, as its (high, low) words;
+    the low words' full product is taken in 32-bit halves."""
+    a1, a0, b1, b0 = al >> _U32, al & _LOW32, bl >> _U32, bl & _LOW32
+    cross, other = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _U32) + (cross & _LOW32) + (other & _LOW32)
+    high = a1 * b1 + (cross >> _U32) + (other >> _U32) + (mid >> _U32) + ah * bl + al * bh
+    return high, al * bl
 
-    Each stream reads bit for bit what derive_stream(master_seed, key) would;
-    the SeedSequence hashing of all keys runs as one numpy pass.
+
+def _add128(ah, al, bh, bl):
+    """(ah:al) + (bh:bl) mod 2**128 on uint64 arrays, as its (high, low) words."""
+    low = al + bl
+    return ah + bh + (low < al).astype(np.uint64), low
+
+
+# The jump-ahead constants: k steps take a PCG64 state s to A**k s + C_k inc
+# mod 2**128, C_k = sum_{j<k} A**j, A the multiplier.  The C_k, k = 1, 2, ...,
+# as rows of uint64 high and low words: a cache built on first use, grown by
+# doubling and replaced whole, so a reader sees a consistent table.
+_JUMPS = np.empty((2, 0), np.uint64)
+
+
+def _jumps(n: int) -> np.ndarray:
+    """C_k for k = 1..n, a (2, n) array of high and low words."""
+    global _JUMPS
+    jumps = _JUMPS
+    if jumps.shape[1] < n:
+        have = jumps.shape[1]
+        total = int(jumps[0, -1]) << 64 | int(jumps[1, -1]) if have else 0
+        more = []
+        for _ in range(have, max(n, 2 * have)):
+            total = (total * _PCG_MULT + 1) & (1 << 128) - 1
+            more.append((total >> 64, total & _MASK64))
+        jumps = _JUMPS = np.concatenate([jumps, np.array(more, np.uint64).T], axis=1)
+    return jumps[:, :n]
+
+
+class StreamRows:
+    """Many PCG64 streams as arrays: row i's 128-bit state and increment are
+    uint64 words, and a read advances any rows at once.
+
+    StreamRows(families) holds, for each (master_seed, keys) of families in
+    turn, the streams derive_stream(master_seed, key) of its keys, seeded in
+    one numpy pass: the SeedSequence words of _seed_words, then numpy's
+    pcg64_set_seed in 128-bit arithmetic on uint64 arrays.  Every row reads
+    bit for bit the uniforms its RandomStream would.
     """
-    keys = [int(k) for k in keys]
-    if master_seed < 0 or min(keys, default=0) < 0:
-        raise ValueError("master_seed and index must be nonnegative")
-    words = _seed_words(int(master_seed), keys)
-    return [RandomStream(master_seed, k, _hashed=w) for k, w in zip(keys, words)]
+
+    def __init__(self, families):
+        parts = []
+        for master_seed, keys in families:
+            keys = [int(k) for k in keys]
+            if master_seed < 0 or min(keys, default=0) < 0:
+                raise ValueError("master_seed and index must be nonnegative")
+            parts.append(_seed_words(int(master_seed), keys))
+        words = np.concatenate(parts).T if parts else np.empty((4, 0), np.uint64)
+        # pcg64_set_seed: inc = 2 i + 1 and state = (inc + s) A + inc for the
+        # seed words s = (0, 1) and i = (2, 3), high word first.
+        inc = (words[2] << _U1 | words[3] >> _U63, words[3] << _U1 | _U1)
+        state = _add128(*_mul128(*_add128(*inc, words[0], words[1]), *_MULT_WORDS), *inc)
+        self._words = np.stack([*state, *inc])
+
+    @classmethod
+    def of(cls, stream: RandomStream) -> StreamRows:
+        """One row standing where stream stands."""
+        at = stream._gen.bit_generator.state["state"]
+        rows = cls.__new__(cls)
+        rows._words = np.array(
+            [[at[k] >> shift & _MASK64] for k in ("state", "inc") for shift in (64, 0)], np.uint64
+        )
+        return rows
+
+    def __len__(self) -> int:
+        return self._words.shape[1]
+
+    def read(self, rows, n: int) -> np.ndarray:
+        """The next n uniforms of each listed row, an (len(rows), n) array;
+        the rows advance past them.  A row may be listed once.
+
+        Since A**k - 1 = (A - 1) C_k, the state k steps on is s + C_k d with
+        d = (A - 1) s + inc: one 128-bit product per uniform, against
+        per-column constants.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        out = np.empty((rows.size, n))
+        if not n:
+            return out
+        jump = _jumps(n)
+        chunk = max(1, _READ_UNIFORMS // n)
+        for lo in range(0, rows.size, chunk):
+            at = rows[lo : lo + chunk]
+            s_hi, s_lo, i_hi, i_lo = self._words[:, at, None]
+            d = _add128(*_mul128(s_hi, s_lo, *_STEP_WORDS), i_hi, i_lo)
+            hi, low = _add128(*_mul128(*d, *jump), s_hi, s_lo)
+            # PCG64's XSL-RR output, then next_double's top 53 bits.
+            x, turn = hi ^ low, hi >> _U58
+            x = x >> turn | x << (_U64 - turn & _U63)
+            out[lo : lo + chunk] = (x >> _U11) * 2.0**-53
+            self._words[0, at], self._words[1, at] = hi[:, -1], low[:, -1]
+        return out
+
+
+class RowReader:
+    """The rows of a StreamRows read one at a time as a RandomStream is, by
+    uniform() and uniforms(n): at(i) points the reader at row i, which hands
+    out first its block of uniforms already read, block[i], and then reads
+    on from its row.  used[i] counts the block's uniforms row i handed out.
+    """
+
+    def __init__(self, rows: StreamRows, block: np.ndarray):
+        self._rows, self._block, self._row = rows, block, 0
+        self.used = [0] * len(block)
+
+    def at(self, row: int) -> RowReader:
+        self._row = row
+        return self
+
+    def uniforms(self, n: int) -> np.ndarray:
+        row, at = self._row, self.used[self._row]
+        got = self._block[row, at : at + n]
+        self.used[row] = at + got.size
+        if got.size < n:
+            got = np.concatenate([got, self._rows.read([row], n - got.size)[0]])
+        return got
+
+    def uniform(self) -> float:
+        row, at = self._row, self.used[self._row]
+        if at < self._block.shape[1]:
+            self.used[row] = at + 1
+            return float(self._block[row, at])
+        return float(self.uniforms(1)[0])
 
 
 @dataclass(frozen=True)

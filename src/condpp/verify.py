@@ -15,6 +15,7 @@ import numpy as np
 
 from .bounds import (
     _check_m,
+    _check_replicas,
     compute_stein_bounds,
     first_diff_bound,
     first_diff_bound_nonuniform,
@@ -112,6 +113,7 @@ def verify_stein(
     Every size's coupled components run through the engine as one batch.
     """
     _check_m(m)
+    replicas = _check_replicas(replicas)
     sizes = (m, m + 1, m + 3) if sizes is None else tuple(sizes)
     if not sizes:
         raise ValueError("sizes must name at least one configuration size")
@@ -224,8 +226,7 @@ def verify_delta_bounds(
     """
     if m < 1:
         raise ValueError("delta-bounds battery requires m >= 1")
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
+    replicas = _check_replicas(replicas)
     bounds = compute_stein_bounds(lam, m)
     n_scenarios = _check_m(n_scenarios, "n_scenarios")
     for off in nonuniform_offsets:

@@ -234,6 +234,17 @@ class TestStructure:
         with pytest.raises(ValueError):
             p_survival_analytic(2.0, 1.5)
 
+    def test_replica_count_rule(self):
+        assert bounds._check_replicas(2) == 2 and bounds._check_replicas(7.0) == 7
+        assert type(bounds._check_replicas(7.0)) is int
+        assert bounds._check_replicas(100, 100) == 100
+        for count, minimum in [(1, 2), (0, 2), (99, 100)]:
+            with pytest.raises(ValueError, match=f"need at least {minimum} replicas"):
+                bounds._check_replicas(count, minimum)
+        for count in (2.5, -3, float("nan"), float("inf"), "20", None):
+            with pytest.raises(ValueError, match="replicas must be nonnegative and an integer"):
+                bounds._check_replicas(count)
+
 
 class TestPSurvival:
     def test_frozen_value(self):

@@ -337,7 +337,7 @@ class TestVerify:
         record = lambda *a: draws.append(a)
         monkeypatch.setattr(verify, "derive_stream", record)
         monkeypatch.setattr(coupling, "derive_stream", record)
-        monkeypatch.setattr(coupling, "derive_streams", record)
+        monkeypatch.setattr(coupling, "StreamRows", record)
         out = tmp_path / "report.json"
         assert run_cli("--threads", "1", "verify", *argv, "--out", str(out)) == 1
         assert named in capsys.readouterr().err

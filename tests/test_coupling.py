@@ -24,7 +24,7 @@ from condpp.coupling import (
 )
 from condpp.groundspace import (
     Configuration,
-    RandomStream,
+    StreamRows,
     configuration_from_locations,
     derive_stream,
     empty_configuration,
@@ -97,6 +97,14 @@ def engine_and_oracle(initial, floors, space, key, coefficients=None, f=None, **
     return got, states
 
 
+def run_one(start, stream, *args, **kwargs):
+    """The engine's run of one row on StreamRows.of(stream); the stream then
+    moves on past the uniforms the run used, as run_coupled_chains moves it."""
+    run = coupling._run_batch([start], StreamRows.of(stream), *args, **kwargs)
+    stream._skip(run[-1][0])
+    return run
+
+
 def coalesced(chains):
     return len(set(chains)) == 1
 
@@ -109,7 +117,8 @@ def domination_triple(xi):
 def start_rows_against_decoded(space, xi, m, monkeypatch):
     """Each estimator's start rows at xi, as _run_batch receives them, must
     be the rows _start decodes from the matching configuration lists, and a
-    drawn alpha or partner must take the replica's first uniforms."""
+    drawn alpha or partner must take the replica's first uniforms: the
+    engine's first uniform is the one after them."""
     f, replicas, seed, size, dim = CountTestFunction(count_f_rule), 3, 17, xi.size, xi.dimension
     a, b = np.full(dim, 0.25), np.full(dim, 0.75)
     with_a, base = pair_initials(xi, a)
@@ -141,22 +150,25 @@ def start_rows_against_decoded(space, xi, m, monkeypatch):
     class Ran(Exception):
         pass
 
-    def capture(starts, streams, *args, **kwargs):
-        seen[:] = starts, streams
+    def capture(starts, rows, *args, first, **kwargs):
+        seen[:] = starts, rows, first
         raise Ran
 
     monkeypatch.setattr(coupling, "_run_batch", capture)
-    for call, chains, rows, initial in cases:
+    for call, chains, n_rows, initial in cases:
         with pytest.raises(Ran):
             call()
-        starts, streams = seen
-        assert len(starts) == len(streams) == rows
-        for r, (got, stream) in enumerate(zip(starts, streams)):
+        starts, rows, (block, used) = seen
+        assert len(starts) == len(rows) == len(used) == n_rows
+        for r, got in enumerate(starts):
             twin = derive_stream(seed, r)
             want = coupling._start(initial(r, twin), [m] * chains, space)
             for g, w in zip(got, want, strict=True):
                 np.testing.assert_array_equal(g, w)
-            assert stream.uniform() == twin.uniform()
+            if used[r] < block.shape[1]:
+                assert block[r, used[r]] == twin.uniform()
+            else:  # the start drew the whole block; the engine reads on from the row
+                assert rows.read([r], 1)[0, 0] == twin.uniform()
 
 
 class TestTestFunctions:
@@ -465,11 +477,11 @@ class TestEngineAgainstOracle:
         capped = []
         for max_events, seed in itertools.product((coupling.DEFAULT_EVENT_CAP, 3), range(4)):
             stream, twin = derive_stream(8, seed), derive_stream(8, seed)
-            run = coupling._run_batch(
-                [coupling._start(initial, floors, space)], [stream], floors, space,
-                coefficients, f, max_events=max_events,
+            run = run_one(
+                coupling._start(initial, floors, space), stream, floors, space, coefficients, f,
+                max_events=max_events,
             )
-            integral, elapsed, events, tau, cap, counts = (a[0] for a in run)
+            integral, elapsed, events, tau, cap, counts, _ = (a[0] for a in run)
             got = (
                 float(integral), float(elapsed), int(events),
                 None if np.isnan(tau) else float(tau), bool(cap), tuple(counts.tolist()),
@@ -484,6 +496,46 @@ class TestEngineAgainstOracle:
         assert any(capped) and not all(capped)
 
     @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("functional", ["count", "matching", "none"])
+    @pytest.mark.parametrize("lam, floors", [(3.0, [2, 1, 0]), (0.3, [0, 0, 0])])
+    def test_batch_rows_match_their_runs_alone(self, lam, floors, functional, dim):
+        # Rows stop at different steps and stay in place, frozen, until at
+        # most half the batch is live: each row's outputs, the uniforms it
+        # used and its functional evaluations must be those of its run
+        # alone, untimed, timed to a horizon and under an event cap.  At
+        # floor 0 many rows stop empty while the rest run on.
+        space = unit_cube(lam, dim)
+        at = space.sample(derive_stream(97, dim), 4)
+        initial = [Configuration(at), Configuration(at[:2]), empty_configuration(dim)]
+        f = {
+            "count": CountTestFunction(log_rule),
+            "matching": MatchingDistanceTestFunction(Configuration(at[1:]), space),
+            "none": None,
+        }[functional]
+        evaluated = []
+        if functional == "matching":
+            from_rows = f.from_rows
+            f.from_rows = lambda locs, member, sizes: (
+                evaluated.append(len(sizes)) or from_rows(locs, member, sizes)
+            )
+        start, keys = coupling._start(initial, floors, space), range(40)
+        for horizon, timed, max_events in [(None, False, 10_000), (3.0, True, 10_000),
+                                           (None, False, 25), (6.0, True, 40)]:
+            run = lambda rows: coupling._run_batch(
+                [start] * len(rows), rows, floors, space, (1.0, -0.5, -0.5), f,
+                horizon=horizon, timed=timed, max_events=max_events,
+            )
+            evaluated.clear()
+            got = run(StreamRows([(41, keys)]))
+            in_batch = sum(evaluated)
+            for r in keys:
+                alone = run(StreamRows([(41, [r])]))
+                for g, w in zip(got, alone, strict=True):
+                    np.testing.assert_array_equal(g[r], w[0])
+            assert in_batch == sum(evaluated) - in_batch
+            assert len(set(got[2].tolist())) > 3  # rows stopped at many steps
+
+    @pytest.mark.parametrize("dim", [1, 2])
     def test_untimed_run_reads_no_holding_uniform(self, dim):
         # Untimed, an immigration reads 1 + dim uniforms and a death 2, and a
         # state left at rate q adds exactly 1/q to the elapsed time.
@@ -493,8 +545,8 @@ class TestEngineAgainstOracle:
         moves = [0, 0]
         for seed in range(4):
             stream = derive_stream(13, seed)
-            run = coupling._run_batch(
-                [coupling._start(initial, floors, space)], [stream], floors, space, None, None,
+            run = run_one(
+                coupling._start(initial, floors, space), stream, floors, space, None, None,
                 max_events=coupling.DEFAULT_EVENT_CAP,
             )
             events, elapsed = int(run[2][0]), float(run[1][0])
@@ -856,6 +908,55 @@ class TestPSurvival:
             estimate_p_survival(2.0, 1, 2, replicas=200, seed=0)
 
 
+@pytest.mark.parametrize("replicas", [1, 2.5, 150.5])
+def test_replica_counts_are_refused_before_any_run(replicas, monkeypatch):
+    # One rule, checked at every entry before any stream is seeded or xi
+    # drawn: a count below the entry's minimum (2, or 100 for survival) or
+    # not a whole number is refused.
+    from condpp import bernoulli_app, verify
+
+    draws = []
+    record = lambda *a, **k: draws.append(a)
+    for module, name in [(coupling, "StreamRows"), (coupling, "derive_stream"),
+                         (verify, "derive_stream"), (bernoulli_app, "derive_stream")]:
+        monkeypatch.setattr(module, name, record)
+    space, f, xi = unit_interval(3.0), CountTestFunction(count_f_rule), make_xi(3.0, 2)
+    row = coupling._start(pair_initials(xi, [0.5]), [1, 1], space)
+    law = bernoulli_app.conditional_poisson_law(space, 1)
+    entries = [
+        lambda: verify.verify_stein(lam=3.0, m=1, replicas=replicas),
+        lambda: verify.verify_delta_bounds(3.0, 1, n_scenarios=1, replicas=replicas),
+        lambda: verify.verify_p_survival(replicas=replicas),
+        lambda: coupling._run_replicas(
+            [(lambda r, reader: row, 1, replicas)], [1, 1], None, None, space, max_events=10
+        ),
+        lambda: estimate_delta_h(f, xi, [0.5], 1, space, replicas, 0),
+        lambda: estimate_h(f, xi, 1, space, replicas, 0),
+        lambda: stein_residuals(f, [xi], 1, space, replicas, [1]),
+        lambda: estimate_pi_f(f, 1, space, replicas, 0),
+        lambda: estimate_p_survival(2.0, 1, 0, replicas, 0),
+        lambda: bernoulli_app.self_distance_calibration(law, 10, replicas, 0, space),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="replicas"):
+            entry()
+    assert draws == []
+
+
+def test_a_whole_replica_count_given_as_a_float_runs_as_its_int():
+    space, f, xi = unit_interval(3.0), CountTestFunction(count_f_rule), make_xi(3.0, 2)
+    runs = [
+        lambda n: estimate_delta_h(f, xi, [0.5], 1, space, n, 3),
+        lambda n: estimate_coalescence_time(xi, [0.5], 1, space, n, 3),
+        lambda n: stein_residual(f, xi, 1, space, n, 3),
+        lambda n: estimate_pi_f(f, 1, space, n, 3),
+        lambda n: estimate_p_survival(2.0, 1, 0, 10 * n, 3),
+    ]
+    for run in runs:
+        assert run(12.0) == run(12)
+        assert type(run(12.0).replicas) is int
+
+
 def test_estimators_refuse_bad_points_before_any_run(monkeypatch):
     space, plane = unit_interval(3.0), unit_cube(3.0, 2)
     f, xi, a = CountTestFunction(count_f_rule), make_xi(3.0, 2), np.array([0.5])
@@ -899,8 +1000,8 @@ def test_estimators_refuse_bad_points_before_any_run(monkeypatch):
 
 
 class TestStreamFamilyReplicas:
-    """The replica driver reads the streams derive_streams(seed, ...) seeds a
-    batch at a time; it must equal the scalar union race
+    """The replica driver reads the streams (seed, r) as the rows of one
+    StreamRows a batch; it must equal the scalar union race
     (oracles.coupled_chain_events) looped over derive_stream(seed, r), bit
     for bit."""
 
@@ -958,19 +1059,21 @@ class TestStreamFamilyReplicas:
             f = CountTestFunction(count_f_rule)
         else:
             f = reference_test_functions(space)[2]
-        reads, uniforms = [], RandomStream.uniforms
+        reads, read = [], StreamRows.read
 
-        def counted(stream, n):
-            reads.append(n)
-            return uniforms(stream, n)
+        def counted(rows, listed, n):
+            reads.append(len(listed))
+            return read(rows, listed, n)
 
-        monkeypatch.setattr(RandomStream, "uniforms", counted)
+        monkeypatch.setattr(StreamRows, "read", counted)
         monkeypatch.setattr(coupling, "_BATCH_ROWS", 5)
         (got,) = coupling._run_replicas(
             [(as_rows(initial, [1, 1], space), 22, 11)], [1, 1], (1.0, -1.0), f, space,
             max_events=coupling.DEFAULT_EVENT_CAP,
         )
-        assert len(reads) > 11  # a first block per replica, then refills
+        # a first block per batch of 5, 5 and 1 rows, then refills, some of
+        # them of the survivors of a batch alone
+        assert len(reads) > 3 and any(1 < listed < 5 for listed in reads)
         want = replica_runs_one_by_one(
             derive_stream, initial, [1, 1], (1.0, -1.0), on_locations(f),
             space.total_mass, space.sample, 11, 22, coupling.DEFAULT_EVENT_CAP,

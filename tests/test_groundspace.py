@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from condpp.groundspace import (
     Configuration,
+    RowReader,
+    StreamRows,
     _seed_words,
     configuration_from_locations,
     derive_stream,
-    derive_streams,
     empty_configuration,
     unit_cube,
     unit_interval,
@@ -180,7 +181,7 @@ BLOCKS = [1, 63, 64, 65, 4096]
 
 
 class TestStreamFamily:
-    """The streams of one master seed, as derive_streams seeds them together."""
+    """The streams of one master seed, as StreamRows seeds them together."""
 
     @pytest.mark.parametrize("seed", FAMILY_SEEDS)
     def test_seed_words_match_seed_sequence(self, seed):
@@ -193,45 +194,97 @@ class TestStreamFamily:
     @pytest.mark.parametrize("seed", FAMILY_SEEDS)
     @pytest.mark.parametrize("first", BLOCKS)
     def test_blocks_match_numpy(self, seed, first):
-        # A first block of any size, then every kind of read and a step back,
-        # bit for bit.
-        streams = derive_streams(seed, FAMILY_KEYS)
-        assert [(s.master_seed, s.index) for s in streams] == [(seed, k) for k in FAMILY_KEYS]
-        for key, stream in zip(FAMILY_KEYS, streams):
-            want = numpy_stream(seed, key, first + sum(BLOCKS) + 3)
-            np.testing.assert_array_equal(stream.uniforms(first), want[:first])
-            assert stream.uniform() == want[first]
-            stream._unread(2)
-            at = first - 1
-            for n in BLOCKS:
-                np.testing.assert_array_equal(stream.uniforms(n), want[at : at + n])
-                at += n
-            assert stream.exponential(2.0) == -math.log1p(-want[at]) / 2.0
-            assert stream.integer(13) == min(int(want[at + 1] * 13), 12)
+        # A first block of any size, then reads of every size, then a
+        # reader's scalar and block draws past its block, bit for bit.
+        rows = StreamRows([(seed, FAMILY_KEYS)])
+        every = np.arange(len(FAMILY_KEYS))
+        want = np.array([numpy_stream(seed, k, first + sum(BLOCKS) + 4) for k in FAMILY_KEYS])
+        np.testing.assert_array_equal(rows.read(every, first), want[:, :first])
+        at = first
+        for n in BLOCKS:
+            np.testing.assert_array_equal(rows.read(every, n), want[:, at : at + n])
+            at += n
+        reader = RowReader(rows, rows.read(every, 2))
+        for i, w in enumerate(want):
+            assert reader.at(i).uniform() == w[at]
+            np.testing.assert_array_equal(reader.uniforms(3), w[at + 1 : at + 4])
+        assert reader.used == [2] * len(FAMILY_KEYS)
 
     def test_rows_read_independently(self):
-        streams = derive_streams(7, [5, 6, 2**40])
+        rows = StreamRows([(7, [5, 6, 2**40])])
         want = [numpy_stream(7, k, 200) for k in (5, 6, 2**40)]
-        np.testing.assert_array_equal(streams[2].uniforms(30), want[2][:30])
-        np.testing.assert_array_equal(streams[0].uniforms(30), want[0][:30])
-        np.testing.assert_array_equal(streams[1].uniforms(50), want[1][:50])
-        for s, w, at in zip(streams, want, (30, 50, 30)):
-            np.testing.assert_array_equal(s.uniforms(10), w[at : at + 10])
+        np.testing.assert_array_equal(rows.read([2], 30)[0], want[2][:30])
+        np.testing.assert_array_equal(rows.read([0], 30)[0], want[0][:30])
+        np.testing.assert_array_equal(rows.read([1], 50)[0], want[1][:50])
+        for row, w, at in zip(rows.read([0, 1, 2], 10), want, (30, 50, 30)):
+            np.testing.assert_array_equal(row, w[at : at + 10])
 
-    def test_unread_steps_a_row_back(self):
-        streams = derive_streams(11, range(3))
+    def test_of_stands_where_its_stream_stands(self):
+        # run_coupled_chains' round trip: one row read on from a stream's
+        # state, then the stream moved past the uniforms the run used.
         want = numpy_stream(11, 1, 300)
-        for s in streams:
-            s.uniforms(100)
-        streams[1]._unread(np.int64(30))
-        np.testing.assert_array_equal(streams[1].uniforms(40), want[70:110])
+        stream = derive_stream(11, 1)
+        stream.uniforms(70)
+        np.testing.assert_array_equal(StreamRows.of(stream).read([0], 100)[0], want[70:170])
+        stream._skip(np.int64(30))
+        np.testing.assert_array_equal(stream.uniforms(40), want[100:140])
 
     @pytest.mark.parametrize("seed, keys", [(-1, [0]), (0, [3, -2]), (-5, [])])
     def test_rejects_negative_seed_parts(self, seed, keys):
         with pytest.raises(ValueError, match="nonnegative"):
-            derive_streams(seed, keys)
+            StreamRows([(seed, keys)])
+        with pytest.raises(ValueError, match="nonnegative"):
+            StreamRows([(1, [0, 1]), (seed, keys)])
         with pytest.raises(ValueError, match="nonnegative"):
             derive_stream(seed, min(keys, default=0))
+
+
+ROW_SEEDS = [0, 7, 2**40 + 3, 2**70]  # one, two and three 32-bit words
+# One- and two-word keys in one batch: _seed_words hashes each width apart.
+ROW_KEYS = [3, 2**32 + 1, 0, 2**40, 2**32 - 1, 9, 2**63 + 5]
+ROW_READS = [1, 3, 16, 64, 4096]
+
+
+class TestStreamRows:
+    """Every row of a StreamRows reads bit for bit what derive_stream(seed,
+    key).uniforms gives, through the cached jump-ahead constants."""
+
+    @pytest.mark.parametrize("seed", ROW_SEEDS)
+    def test_rows_equal_derive_stream(self, seed):
+        rows = StreamRows([(seed, ROW_KEYS)])
+        every = np.arange(len(ROW_KEYS))
+        want = np.array([derive_stream(seed, k).uniforms(sum(ROW_READS)) for k in ROW_KEYS])
+        at = 0
+        for n in ROW_READS:
+            np.testing.assert_array_equal(rows.read(every, n), want[:, at : at + n])
+            at += n
+
+    @pytest.mark.parametrize("seed", ROW_SEEDS)
+    def test_subset_reads_interleave_with_reads_of_every_row(self, seed):
+        rows = StreamRows([(seed, ROW_KEYS)])
+        streams = [derive_stream(seed, k) for k in ROW_KEYS]
+        every = list(range(len(ROW_KEYS)))
+        reads = [(every, 16), ([1, 4], 3), ([6, 0, 2], 64), (every, 1), ([5], 4096),
+                 ([3, 1], 16), (every, 64), ([2], 1), (every, 3)]
+        for listed, n in reads:
+            want = [streams[i].uniforms(n) for i in listed]
+            np.testing.assert_array_equal(rows.read(listed, n), want)
+
+    def test_families_stack_in_order(self):
+        rows = StreamRows([(7, [2, 2**40]), (2**70, []), (0, [5])])
+        want = [derive_stream(s, k).uniforms(20) for s, k in ((7, 2), (7, 2**40), (0, 5))]
+        assert len(rows) == 3
+        np.testing.assert_array_equal(rows.read([0, 1, 2], 20), want)
+
+    def test_reader_reads_on_past_its_block(self):
+        rows = StreamRows([(4, [0, 1])])
+        reader = RowReader(rows, rows.read([0, 1], 16))
+        want = [derive_stream(4, k).uniforms(60) for k in (0, 1)]
+        np.testing.assert_array_equal(reader.at(1).uniforms(5), want[1][:5])
+        np.testing.assert_array_equal(reader.at(0).uniforms(40), want[0][:40])
+        assert reader.at(1).uniform() == want[1][5]
+        assert reader.at(0).uniform() == want[0][40]
+        assert reader.used == [16, 6]
 
 
 class TestGroundSpace:
